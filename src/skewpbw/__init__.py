@@ -12,7 +12,6 @@ from .algebra import (
     InconsistentPresentationError,
     Poly,
     decompose_var_coeff,
-    deg,
     monomial_product,
     sigma_pow,
     star,
@@ -63,13 +62,6 @@ from .rings import (
     RingMap,
     RingMismatchError,
     SigmaDerivation,
-    apply_derivation,
-    apply_map,
-    is_unit,
-    random_elem,
-    ring_add,
-    ring_mul,
-    unit_inverse,
 )
 from .rng import Stream
 from .universal import (
@@ -87,8 +79,6 @@ from .words import (
     Var,
     Violation,
     complexity,
-    free_add,
-    free_concat,
     is_standard,
     rightmost_violation,
     word_str,

@@ -20,7 +20,8 @@ from typing import Iterable, Mapping
 
 from fractions import Fraction
 
-from .rings import CoeffElem, RingMismatchError
+from .rings import CoeffElem, RingMismatchError, add_terms, deglex_key, format_terms
+from .rng import Stream
 
 Monomial = tuple  # tuple[int, ...]
 
@@ -34,15 +35,6 @@ class ExponentCapError(OverflowError):
 class InconsistentPresentationError(RuntimeError):
     """The engine derived a non-unit leading coefficient, which cannot happen
     over a presentation that passed the existence checks."""
-
-
-def mono_degree(alpha: Monomial) -> int:
-    return sum(alpha)
-
-
-def _order_key(alpha: Monomial):
-    # total degree descending, then lexicographic on exponent vectors descending
-    return (-sum(alpha), tuple(-e for e in alpha))
 
 
 def _check_exponents(alpha: Monomial, n: int) -> None:
@@ -118,7 +110,7 @@ class Poly:
         return max(sum(a) for a in self.terms)
 
     def ordered_terms(self) -> list[tuple[Monomial, CoeffElem]]:
-        return sorted(self.terms.items(), key=lambda t: _order_key(t[0]))
+        return sorted(self.terms.items(), key=lambda t: deglex_key(t[0]))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -131,15 +123,7 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         self._same(other)
-        out = dict(self.terms)
-        for alpha, c in other.terms.items():
-            s = out.get(alpha)
-            s = c if s is None else s + c
-            if s:
-                out[alpha] = s
-            else:
-                out.pop(alpha, None)
-        return Poly(self.pres, out)
+        return Poly(self.pres, add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -207,47 +191,32 @@ class Poly:
 
     # -- text ----------------------------------------------------------------
 
-    def _mono_str(self, alpha: Monomial) -> str:
-        parts = []
-        for i, e in enumerate(alpha):
-            if e == 1:
-                parts.append(f"x{i + 1}")
-            elif e:
-                parts.append(f"x{i + 1}^{e}")
-        return "*".join(parts)
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        ring = self.pres.ring
-        one = ring.one()
-        parts = []
-        for alpha, c in self.ordered_terms():
-            mono = self._mono_str(alpha)
-            if not mono:
-                parts.append(str(c))
-            elif c == one:
-                parts.append(mono)
-            elif c == -one:
-                parts.append("-" + mono)
-            elif ring._term_count(c.value) > 1:
-                parts.append(f"({c})*{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        out = parts[0]
-        for t in parts[1:]:
-            if t.startswith("-"):
-                out += " - " + t[1:]
-            else:
-                out += " + " + t
-        return out
+        names = [f"x{i + 1}" for i in range(self.pres.n)]
+        return format_terms(
+            self.pres.ring, names, ((a, c.value) for a, c in self.terms.items())
+        )
 
     def __repr__(self):
         return f"Poly({self})"
 
 
-def deg(f: Poly):
-    return f.deg()
+def random_poly(P, stream: Stream, max_degree: int, max_terms: int = 2) -> Poly:
+    """Seeded random polynomial: 1..max_terms terms of total degree at most
+    max_degree, coefficients from ``ring.random_elem(stream, 1)``; a repeated
+    monomial keeps its last draw."""
+    terms = {}
+    for _ in range(1 + stream.below(max_terms)):
+        remaining = max_degree
+        alpha = []
+        for _ in range(P.n):
+            e = stream.below(remaining + 1) if remaining else 0
+            alpha.append(e)
+            remaining -= e
+        coeff = P.ring.random_elem(stream, 1)
+        if coeff:
+            terms[tuple(alpha)] = coeff
+    return Poly(P, terms)
 
 
 # ---------------------------------------------------------------------------

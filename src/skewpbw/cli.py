@@ -12,8 +12,8 @@ import json
 import sys
 
 from . import catalog
-from .algebra import star
-from .expr import ExprError, eval_str
+from .algebra import EXPONENT_CAP, ExponentCapError, star
+from .expr import MAX_NESTING, ExprError, eval_str
 from .jsonio import (
     SchemaError,
     load_homspec,
@@ -25,7 +25,7 @@ from .reduction import star_oracle
 from .rings import NotAUnitError, RingMismatchError
 from .universal import HomSpecError, check_hom_conditions, extend_hom
 
-GRAMMAR_NOTES = """expressions:
+GRAMMAR_NOTES = f"""expressions:
   sum      := item (('+' | '-') item)*
   item     := '-' item | product
   product  := power ('*' power)*
@@ -34,6 +34,8 @@ GRAMMAR_NOTES = """expressions:
 '^' binds tighter than '*', '*' tighter than '+'; unary minus sits between.
 Multiplication is noncommutative; juxtaposition is not multiplication.
 Negative exponents evaluate only on invertible constants (e.g. q^-2).
+Parentheses nest at most {MAX_NESTING} deep; an exponent on a non-constant
+base must be below {EXPONENT_CAP} (constants take any exponent).
 Identifiers: variable names, positional aliases x1..xn, coefficient
 generators.  Presentations are file paths or catalog:NAME tokens."""
 
@@ -195,6 +197,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (
+        ExponentCapError,
         ExprError,
         SchemaError,
         PresentationError,

@@ -15,6 +15,12 @@ than '+' and looser than '*'.  Exponents are integer literals; a negative
 exponent is accepted by the grammar but only evaluates on invertible
 constants (Laurent generators and other units), never on variables.
 
+Sums and products parse into flat nodes and a run of unary minus signs
+folds into at most one negation, so long inputs need no deep recursion.
+Parentheses nest at most MAX_NESTING deep, and an exponent on a
+non-constant base must stay below EXPONENT_CAP; both limits are positioned
+errors.  Constant bases are raised to any power in the coefficient ring.
+
 Identifiers resolve, in order, against the presentation's variable names,
 the positional aliases x1..xn, and the coefficient generators.  Canonical
 printing uses the positional aliases, so printed normal forms re-parse.
@@ -26,8 +32,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, star
-from .rings import CoeffElem, CoeffRing, NotAUnitError
+from .algebra import EXPONENT_CAP, Poly
+from .presentation import POSITIONAL_RE
+from .rings import IDENT, NAME_RE, CoeffElem, CoeffRing, NotAUnitError
+
+MAX_NESTING = 100
 
 
 class ExprError(ValueError):
@@ -49,7 +58,7 @@ class Token:
     col: int
 
 
-_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()/]|\S")
+_TOKEN_RE = re.compile(rf"[0-9]+|{IDENT}|[-+*^()/]|\S")
 
 
 def tokenize(src: str) -> list[Token]:
@@ -72,7 +81,7 @@ def tokenize(src: str) -> list[Token]:
         col = pos - line_start + 1
         if text[0].isdigit():
             kind = "INT"
-        elif re.match(r"[A-Za-z_]", text[0]):
+        elif NAME_RE.match(text):
             kind = "IDENT"
         elif text in "+-*^()/":
             kind = "OP"
@@ -115,15 +124,13 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Sum:
+    items: tuple
 
 
 @dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Product:
+    factors: tuple
 
 
 @dataclass(frozen=True)
@@ -134,13 +141,11 @@ class Pow:
     col: int
 
 
-_POSITIONAL = re.compile(r"^x([0-9]+)$")
-
-
 class _Parser:
     def __init__(self, tokens: list[Token], resolve):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.resolve = resolve
 
     def peek(self) -> Token:
@@ -150,6 +155,10 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def at_op(self, ops: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == "OP" and tok.text in ops
 
     def expect_op(self, text: str) -> Token:
         tok = self.take()
@@ -165,32 +174,34 @@ class _Parser:
         return e
 
     def sum(self):
-        e = self.item()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
+        items = [self.item()]
+        while self.at_op("+-"):
             op = self.take()
             rhs = self.item()
-            e = Add(e, rhs if op.text == "+" else Neg(rhs))
-        return e
+            items.append(rhs if op.text == "+" else Neg(rhs))
+        return items[0] if len(items) == 1 else Sum(tuple(items))
 
     def item(self):
-        if self.peek().kind == "OP" and self.peek().text == "-":
+        negate = False
+        while self.at_op("-"):
             self.take()
-            return Neg(self.item())
-        return self.product()
+            negate = not negate
+        e = self.product()
+        return Neg(e) if negate else e
 
     def product(self):
-        e = self.power()
-        while self.peek().kind == "OP" and self.peek().text == "*":
+        factors = [self.power()]
+        while self.at_op("*"):
             self.take()
-            e = Mul(e, self.power())
-        return e
+            factors.append(self.power())
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def power(self):
         e = self.atom()
-        if self.peek().kind == "OP" and self.peek().text == "^":
+        if self.at_op("^"):
             caret = self.take()
             sign = 1
-            if self.peek().kind == "OP" and self.peek().text == "-":
+            if self.at_op("-"):
                 self.take()
                 sign = -1
             tok = self.take()
@@ -203,7 +214,7 @@ class _Parser:
         tok = self.take()
         if tok.kind == "INT":
             value = Fraction(int(tok.text))
-            if self.peek().kind == "OP" and self.peek().text == "/":
+            if self.at_op("/"):
                 self.take()
                 den = self.take()
                 if den.kind != "INT":
@@ -215,8 +226,14 @@ class _Parser:
         if tok.kind == "IDENT":
             return self.resolve(tok)
         if tok.kind == "OP" and tok.text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExprError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col
+                )
             e = self.sum()
             self.expect_op(")")
+            self.depth -= 1
             return e
         raise ExprError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
 
@@ -228,7 +245,7 @@ def _presentation_resolver(P):
         name = tok.text
         if name in P.var_names:
             return VarRef(P.var_names.index(name), tok.line, tok.col)
-        m = _POSITIONAL.match(name)
+        m = POSITIONAL_RE.match(name)
         if m and 1 <= int(m.group(1)) <= P.n:
             return VarRef(int(m.group(1)) - 1, tok.line, tok.col)
         if name in gens:
@@ -264,56 +281,61 @@ def parse_coeff(src: str, ring: CoeffRing) -> object:
 # evaluation
 
 
-def eval_expr(e, P) -> Poly:
-    if isinstance(e, Num):
-        return Poly.const(P, P.ring.from_fraction(e.value))
-    if isinstance(e, Coeff):
-        return Poly.const(P, P.ring.generator(e.name))
-    if isinstance(e, VarRef):
-        return Poly.variable(P, e.index)
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, P)
-    if isinstance(e, Add):
-        return eval_expr(e.left, P) + eval_expr(e.right, P)
-    if isinstance(e, Mul):
-        return star(eval_expr(e.left, P), eval_expr(e.right, P))
-    if isinstance(e, Pow):
-        base = eval_expr(e.base, P)
-        if e.exponent >= 0:
-            return base**e.exponent
-        if not base.is_constant():
+def eval_expr(e, target):
+    """Value of a parsed expression: a Poly when ``target`` is a
+    presentation, a CoeffElem when it is a coefficient ring."""
+    coeff_only = isinstance(target, CoeffRing)
+    ring = target if coeff_only else target.ring
+
+    def lift(c):
+        return c if coeff_only else Poly.const(target, c)
+
+    def value(e):
+        if isinstance(e, Num):
+            return lift(ring.from_fraction(e.value))
+        if isinstance(e, Coeff):
+            return lift(ring.generator(e.name))
+        if isinstance(e, VarRef):
+            return Poly.variable(target, e.index)
+        if isinstance(e, Neg):
+            return -value(e.arg)
+        if isinstance(e, Sum):
+            out = value(e.items[0])
+            for item in e.items[1:]:
+                out = out + value(item)
+            return out
+        if isinstance(e, Product):
+            out = value(e.factors[0])
+            for factor in e.factors[1:]:
+                out = out * value(factor)
+            return out
+        if isinstance(e, Pow):
+            return _power(value(e.base), e)
+        raise TypeError(f"not an expression node: {e!r}")
+
+    return value(e)
+
+
+def _power(base, e: Pow):
+    k = e.exponent
+    if isinstance(base, Poly):
+        if base.is_constant():
+            return Poly.const(base.pres, _power(base.constant_coeff(), e))
+        if k < 0:
+            raise ExprError("negative exponent needs an invertible constant", e.line, e.col)
+        if k >= EXPONENT_CAP:
             raise ExprError(
-                "negative exponent needs an invertible constant", e.line, e.col
+                f"exponent {k} on a non-constant base must be below {EXPONENT_CAP}",
+                e.line,
+                e.col,
             )
-        c = base.constant_coeff()
+        return base**k
+    if k < 0:
         try:
-            inv = c.inverse()
-        except NotAUnitError:
-            raise ExprError(f"{c} is not invertible", e.line, e.col) from None
-        return Poly.const(P, inv ** (-e.exponent))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def eval_coeff(e, ring: CoeffRing) -> CoeffElem:
-    if isinstance(e, Num):
-        return ring.from_fraction(e.value)
-    if isinstance(e, Coeff):
-        return ring.generator(e.name)
-    if isinstance(e, Neg):
-        return -eval_coeff(e.arg, ring)
-    if isinstance(e, Add):
-        return eval_coeff(e.left, ring) + eval_coeff(e.right, ring)
-    if isinstance(e, Mul):
-        return eval_coeff(e.left, ring) * eval_coeff(e.right, ring)
-    if isinstance(e, Pow):
-        base = eval_coeff(e.base, ring)
-        if e.exponent >= 0:
-            return base**e.exponent
-        try:
-            return base.inverse() ** (-e.exponent)
+            base = base.inverse()
         except NotAUnitError:
             raise ExprError(f"{base} is not invertible", e.line, e.col) from None
-    raise TypeError(f"not a coefficient expression node: {e!r}")
+    return base ** abs(k)
 
 
 def eval_str(src: str, P) -> Poly:
@@ -321,4 +343,4 @@ def eval_str(src: str, P) -> Poly:
 
 
 def coeff_from_str(src: str, ring: CoeffRing) -> CoeffElem:
-    return eval_coeff(parse_coeff(src, ring), ring)
+    return eval_expr(parse_coeff(src, ring), ring)

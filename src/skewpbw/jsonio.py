@@ -227,12 +227,15 @@ def load_presentation(token: str, base_dir: Path | None = None) -> Presentation:
     path = Path(token)
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path
+    return presentation_from_json(_read_json(path))
+
+
+def _read_json(path: Path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: {e}") from None
-    return presentation_from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +263,4 @@ def homspec_from_json(obj: dict, base_dir: Path | None = None) -> HomSpec:
 
 def load_homspec(path_str: str) -> HomSpec:
     path = Path(path_str)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path}: {e}") from None
-    return homspec_from_json(obj, base_dir=path.parent)
+    return homspec_from_json(_read_json(path), base_dir=path.parent)

@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 
 from .algebra import Poly
 from .reduction import h_word, normalize_h, reduce_p
-from .rings import CoeffElem, CoeffRing, RingMap, RingMismatchError, SigmaDerivation
+from .rings import NAME_RE, CoeffElem, CoeffRing, RingMap, RingMismatchError, SigmaDerivation
 from .rng import Stream
 from .words import FreeElem, Scalar, Var
 
-_POSITIONAL = re.compile(r"^x([0-9]+)$")
+POSITIONAL_RE = re.compile(r"^x([0-9]+)$")
 
 
 class PresentationError(ValueError):
@@ -43,17 +43,17 @@ def _check_var_names(names: tuple[str, ...], ring: CoeffRing) -> None:
         raise PresentationError("variable names must be distinct")
     gens = set(ring.generator_names())
     for pos, name in enumerate(names):
-        if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", name):
+        if not NAME_RE.match(name):
             raise PresentationError(f"invalid variable name {name!r}")
         if name in gens:
             raise PresentationError(f"variable {name!r} collides with a coefficient generator")
-        m = _POSITIONAL.match(name)
+        m = POSITIONAL_RE.match(name)
         if m and int(m.group(1)) != pos + 1:
             raise PresentationError(
                 f"positional name {name!r} must sit at slot {m.group(1)}"
             )
     for g in gens:
-        if _POSITIONAL.match(g):
+        if POSITIONAL_RE.match(g):
             raise PresentationError(
                 f"coefficient generator {g!r} would shadow positional variable names"
             )
@@ -454,24 +454,26 @@ def validate_structure(P: Presentation, samples: int = 16, seed: int = 0) -> Con
 # conditions 2 and 3: overlap checks
 
 
+def _two_orders(P: Presentation, head: tuple, last) -> tuple[bool, Poly, Poly]:
+    """Normal form of the word head + (last,) along the rightmost-first
+    reduction order, against straightening ``head`` first; (equal, lhs, rhs)."""
+    lhs = h_word(head + (last,), P)
+    rhs = normalize_h(reduce_p(head, P).concat(FreeElem.from_word((last,))), P)
+    return lhs == rhs, lhs, rhs
+
+
 def check_condition2(P: Presentation, i: int, j: int, r: CoeffElem) -> Condition2Item:
     """Compare the two reduction orders of the word x_j x_i r."""
     if not 0 <= i < j < P.n:
         raise ValueError("condition 2 expects i < j")
-    lhs = h_word((Var(j), Var(i), Scalar(r)), P)
-    straightened = reduce_p((Var(j), Var(i)), P)
-    rhs = normalize_h(straightened.concat(FreeElem.from_word((Scalar(r),))), P)
-    return Condition2Item(i, j, r, lhs == rhs, lhs, rhs)
+    return Condition2Item(i, j, r, *_two_orders(P, (Var(j), Var(i)), Scalar(r)))
 
 
 def check_condition3(P: Presentation, i: int, j: int, k: int) -> Condition3Item:
     """Compare the two reduction orders of the overlap word x_k x_j x_i."""
     if not 0 <= i < j < k < P.n:
         raise ValueError("condition 3 expects i < j < k")
-    lhs = h_word((Var(k), Var(j), Var(i)), P)
-    straightened = reduce_p((Var(k), Var(j)), P)
-    rhs = normalize_h(straightened.concat(FreeElem.from_word((Var(i),))), P)
-    return Condition3Item(i, j, k, lhs == rhs, lhs, rhs)
+    return Condition3Item(i, j, k, *_two_orders(P, (Var(k), Var(j)), Var(i)))
 
 
 def condition2_sample_set(P: Presentation, samples: int, stream: Stream) -> list[CoeffElem]:

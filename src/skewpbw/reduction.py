@@ -25,6 +25,7 @@ trusted oracle for the fast exponent-level product in algebra.star.
 from __future__ import annotations
 
 from .algebra import Poly
+from .rings import add_terms
 from .words import FreeElem, Scalar, Var, Word, complexity, rightmost_violation, word_str
 
 DEFAULT_MAX_WORD_LEN = 16
@@ -89,6 +90,37 @@ def rewrite_step(w: Word, P) -> list[Word] | None:
     return out
 
 
+def _straighten(w: Word, cache: dict, expand, leaf) -> tuple:
+    """Memoized straightening of one word with an explicit stack.
+
+    ``expand(word)`` gives the child words of one rewrite move, or None for a
+    standard word, whose value is ``leaf(word)``; any other word's value is
+    the sum of its children's values.  Values are tuples of (key, coeff)
+    pairs, and ``cache`` holds only fully reduced values.
+    """
+    stack = [w]
+    while stack:
+        cur = stack[-1]
+        if cur in cache:
+            stack.pop()
+            continue
+        children = expand(cur)
+        if children is None:
+            cache[cur] = leaf(cur)
+            stack.pop()
+            continue
+        missing = [child for child in children if child not in cache]
+        if missing:
+            stack.extend(missing)
+            continue
+        acc: dict = {}
+        for child in children:
+            add_terms(acc, cache[child])
+        cache[cur] = tuple(acc.items())
+        stack.pop()
+    return cache[w]
+
+
 def reduce_p(
     w: Word,
     P,
@@ -106,35 +138,19 @@ def reduce_p(
     if len(w) > max_len:
         raise WordLengthError(f"word of length {len(w)} exceeds cap {max_len}")
     _check_letters(w, P)
-    cache = P._reduce_cache
-    stack = [w]
-    while stack:
-        cur = stack[-1]
-        if cur in cache:
-            stack.pop()
-            continue
+
+    def expand(cur):
         children = rewrite_step(cur, P)
-        if children is None:
-            cache[cur] = FreeElem.from_word(cur)
-            stack.pop()
-            continue
-        if check_descent:
+        if check_descent and children is not None:
             cc = complexity(cur)
             for child in children:
                 if not complexity(child) < cc:
                     raise AssertionError(
                         f"complexity did not drop: {word_str(cur)} -> {word_str(child)}"
                     )
-        missing = [child for child in children if child not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
-        total = FreeElem.zero()
-        for child in children:
-            total = total + cache[child]
-        cache[cur] = total
-        stack.pop()
-    return cache[w]
+        return children
+
+    return FreeElem(dict(_straighten(w, P._reduce_cache, expand, lambda cur: ((cur, 1),))))
 
 
 def reduce_elem(
@@ -172,14 +188,7 @@ def collapse_q(e: FreeElem, P) -> Poly:
                     raise ValueError(f"word not standard: {word_str(w)}")
                 last = letter.index
                 counts[letter.index] += 1
-        alpha = tuple(counts)
-        add = coeff * m
-        cur = terms.get(alpha)
-        cur = add if cur is None else cur + add
-        if cur:
-            terms[alpha] = cur
-        else:
-            terms.pop(alpha, None)
+        add_terms(terms, ((tuple(counts), coeff * m),))
     return Poly(P, terms)
 
 
@@ -226,47 +235,26 @@ def _h_reduce(w: Word, P) -> tuple:
     straightening expensive on dense parameter systems.
     Returns a tuple of (monomial, coefficient) pairs.
     """
-    cache = P._h_cache
-    stack = [w]
-    while stack:
-        cur = stack[-1]
-        if cur in cache:
-            stack.pop()
-            continue
+
+    def expand(cur):
         children = rewrite_step(cur, P)
         if children is None:
-            # coalesced standard word: at most one scalar letter, in front
-            coeff = P.ring.one()
-            counts = [0] * P.n
-            for letter in cur:
-                if isinstance(letter, Scalar):
-                    coeff = coeff * letter.value
-                else:
-                    counts[letter.index] += 1
-            cache[cur] = ((tuple(counts), coeff),)
-            stack.pop()
-            continue
-        kids = []
-        for child in children:
-            cw = _coalesce(child, P.ring)
-            if cw is not None:
-                kids.append(cw)
-        missing = [k for k in kids if k not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
-        acc: dict = {}
-        for k in kids:
-            for mono, c in cache[k]:
-                s = acc.get(mono)
-                s = c if s is None else s + c
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
-        cache[cur] = tuple(acc.items())
-        stack.pop()
-    return cache[w]
+            return None
+        coalesced = (_coalesce(child, P.ring) for child in children)
+        return [cw for cw in coalesced if cw is not None]
+
+    def leaf(cur):
+        # coalesced standard word: at most one scalar letter, in front
+        coeff = P.ring.one()
+        counts = [0] * P.n
+        for letter in cur:
+            if isinstance(letter, Scalar):
+                coeff = coeff * letter.value
+            else:
+                counts[letter.index] += 1
+        return ((tuple(counts), coeff),)
+
+    return _straighten(w, P._h_cache, expand, leaf)
 
 
 def normalize_h(
@@ -289,14 +277,7 @@ def normalize_h(
         cw = _coalesce(tuple(w), P.ring)
         if cw is None:
             continue
-        for mono, c in _h_reduce(cw, P):
-            add = c * m
-            s = terms.get(mono)
-            s = add if s is None else s + add
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
+        add_terms(terms, ((mono, c * m) for mono, c in _h_reduce(cw, P)))
     return Poly(P, terms)
 
 

@@ -39,11 +39,12 @@ class NotAUnitError(ArithmeticError):
     """Inverse requested for a non-invertible element."""
 
 
-_NAME_OK = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+NAME_RE = re.compile(rf"^{IDENT}$")
 
 
 def _check_name(name: str) -> str:
-    if not _NAME_OK.match(name):
+    if not NAME_RE.match(name):
         raise ValueError(f"invalid generator name {name!r}")
     return name
 
@@ -116,8 +117,12 @@ class CoeffElem:
             base = self.inverse()
             k = -k
         out = self.ring.one()
-        for _ in range(k):
-            out = out * base
+        while k:  # square and multiply
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -388,20 +393,84 @@ def _merge(term_map: dict, key, coeff, base: CoeffRing) -> None:
         term_map[key] = s
 
 
-def _join_terms(parts: list[str]) -> str:
-    if not parts:
-        return "0"
-    out = parts[0]
-    for t in parts[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
+def add_terms(acc: dict, items) -> dict:
+    """Add (key, coefficient) pairs into a term map, dropping every key whose
+    coefficient sums to zero; returns ``acc``."""
+    for key, c in items:
+        s = acc.get(key)
+        s = c if s is None else s + c
+        if s:
+            acc[key] = s
         else:
-            out += " + " + t
-    return out
+            acc.pop(key, None)
+    return acc
+
+
+def deglex_key(exps: tuple[int, ...]):
+    """Sort key: total degree descending, then lexicographic descending."""
+    return (-sum(exps), tuple(-e for e in exps))
+
+
+def _mono_str(names, exps) -> str:
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+
+
+def format_terms(ring: CoeffRing, names, terms) -> str:
+    """Print (exponent vector, raw coefficient in ``ring``) pairs as a signed
+    sum in deglex order.  Coefficients are compared as ring elements, so in
+    F_5 a coefficient of 4 prints as a leading minus."""
+    one = ring._from_fraction(Fraction(1))
+    minus_one = ring._neg(one)
+    out = ""
+    for exps, c in sorted(terms, key=lambda t: deglex_key(t[0])):
+        mono = _mono_str(names, exps)
+        if not mono:
+            part = ring._format(c)
+        elif c == one:
+            part = mono
+        elif c == minus_one:
+            part = "-" + mono
+        elif ring._term_count(c) > 1:
+            part = f"({ring._format(c)})*{mono}"
+        else:
+            part = f"{ring._format(c)}*{mono}"
+        if not out:
+            out = part
+        elif part.startswith("-"):
+            out += " - " + part[1:]
+        else:
+            out += " + " + part
+    return out or "0"
+
+
+class _TermRing(CoeffRing):
+    """Raw values shared by LaurentRing and PolyRing: sorted tuples of
+    (exponent key, nonzero base value) pairs."""
+
+    def _zero(self):
+        return ()
+
+    def _canon(self, d: dict):
+        return tuple(sorted(d.items()))
+
+    def _add(self, a, b):
+        d = dict(a)
+        for e, c in b:
+            _merge(d, e, c, self.base)
+        return self._canon(d)
+
+    def _neg(self, a):
+        return tuple((e, self.base._neg(c)) for e, c in a)
+
+    def _is_zero(self, a):
+        return not a
+
+    def _term_count(self, a):
+        return len(a)
 
 
 @dataclass(frozen=True, slots=True)
-class LaurentRing(CoeffRing):
+class LaurentRing(_TermRing):
     """base[var, var^-1] with base a field kind.  Values map int exponents to
     nonzero base values, stored as a sorted tuple."""
 
@@ -412,12 +481,6 @@ class LaurentRing(CoeffRing):
         if not isinstance(self.base, (Rationals, PrimeField)):
             raise ValueError("Laurent base must be Rationals or a prime field")
         _check_name(self.var)
-
-    def _zero(self):
-        return ()
-
-    def _canon(self, d: dict):
-        return tuple(sorted(d.items()))
 
     def _from_fraction(self, q):
         v = self.base._from_fraction(q)
@@ -434,24 +497,12 @@ class LaurentRing(CoeffRing):
             raise KeyError(f"{self.describe()} has no generator {name!r}")
         return self.elem(((1, self.base._from_fraction(Fraction(1))),))
 
-    def _add(self, a, b):
-        d = dict(a)
-        for e, c in b:
-            _merge(d, e, c, self.base)
-        return self._canon(d)
-
-    def _neg(self, a):
-        return tuple((e, self.base._neg(c)) for e, c in a)
-
     def _mul(self, a, b):
         d: dict = {}
         for e1, c1 in a:
             for e2, c2 in b:
                 _merge(d, e1 + e2, self.base._mul(c1, c2), self.base)
         return self._canon(d)
-
-    def _is_zero(self, a):
-        return not a
 
     def _is_unit(self, a):
         return len(a) == 1 and self.base._is_unit(a[0][1])
@@ -465,26 +516,8 @@ class LaurentRing(CoeffRing):
     def _is_constant(self, a):
         return all(e == 0 for e, _ in a)
 
-    def _term_count(self, a):
-        return len(a)
-
     def _format(self, a):
-        if not a:
-            return "0"
-        one = self.base._from_fraction(Fraction(1))
-        minus_one = self.base._neg(one)
-        parts = []
-        for e, c in sorted(a, reverse=True):
-            pw = self.var if e == 1 else f"{self.var}^{e}"
-            if e == 0:
-                parts.append(self.base._format(c))
-            elif c == one:
-                parts.append(pw)
-            elif c == minus_one:
-                parts.append("-" + pw)
-            else:
-                parts.append(f"{self.base._format(c)}*{pw}")
-        return _join_terms(parts)
+        return format_terms(self.base, (self.var,), (((e,), c) for e, c in a))
 
     def _random(self, stream, degree_bound):
         d: dict = {}
@@ -511,13 +544,8 @@ class LaurentRing(CoeffRing):
         return f"{self.base.describe()}[{self.var}^+-1]"
 
 
-def _exp_key(exps: tuple[int, ...]):
-    # degree-then-lex descending ordering key
-    return (-sum(exps), tuple(-e for e in exps))
-
-
 @dataclass(frozen=True, slots=True)
-class PolyRing(CoeffRing):
+class PolyRing(_TermRing):
     """base[vars...] with base Rationals, a prime field, or one Laurent layer.
     Values map exponent tuples to nonzero base values."""
 
@@ -534,12 +562,6 @@ class PolyRing(CoeffRing):
             raise ValueError("duplicate polynomial generators")
         if set(names) & set(self.base.generator_names()):
             raise ValueError("polynomial generators collide with base generators")
-
-    def _zero(self):
-        return ()
-
-    def _canon(self, d: dict):
-        return tuple(sorted(d.items()))
 
     def _from_fraction(self, q):
         v = self.base._from_fraction(q)
@@ -560,15 +582,6 @@ class PolyRing(CoeffRing):
         zero = (0,) * len(self.vars)
         return self.elem(((zero, inner.value),))
 
-    def _add(self, a, b):
-        d = dict(a)
-        for e, c in b:
-            _merge(d, e, c, self.base)
-        return self._canon(d)
-
-    def _neg(self, a):
-        return tuple((e, self.base._neg(c)) for e, c in a)
-
     def _mul(self, a, b):
         d: dict = {}
         for e1, c1 in a:
@@ -576,9 +589,6 @@ class PolyRing(CoeffRing):
                 key = tuple(x + y for x, y in zip(e1, e2))
                 _merge(d, key, self.base._mul(c1, c2), self.base)
         return self._canon(d)
-
-    def _is_zero(self, a):
-        return not a
 
     def _is_unit(self, a):
         return (
@@ -598,37 +608,8 @@ class PolyRing(CoeffRing):
             all(e == 0 for e in exps) and self.base._is_constant(c) for exps, c in a
         )
 
-    def _term_count(self, a):
-        return len(a)
-
-    def _mono_str(self, exps):
-        parts = []
-        for name, e in zip(self.vars, exps):
-            if e == 1:
-                parts.append(name)
-            elif e:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
-
     def _format(self, a):
-        if not a:
-            return "0"
-        one = self.base._from_fraction(Fraction(1))
-        minus_one = self.base._neg(one)
-        parts = []
-        for exps, c in sorted(a, key=lambda t: _exp_key(t[0])):
-            mono = self._mono_str(exps)
-            if not mono:
-                parts.append(self.base._format(c))
-            elif c == one:
-                parts.append(mono)
-            elif c == minus_one:
-                parts.append("-" + mono)
-            elif self.base._term_count(c) > 1:
-                parts.append(f"({self.base._format(c)})*{mono}")
-            else:
-                parts.append(f"{self.base._format(c)}*{mono}")
-        return _join_terms(parts)
+        return format_terms(self.base, self.vars, a)
 
     def _random(self, stream, degree_bound):
         d: dict = {}
@@ -666,12 +647,12 @@ class PolyRing(CoeffRing):
 # structure maps
 
 
-def _rebuild_from_products(ring: CoeffRing, value, gen_image) -> CoeffElem:
-    """Sum of prime-scalar * product of gen_image(name)**exp over the
-    canonical decomposition of ``value``."""
-    out = ring.zero()
+def _rebuild_from_products(ring: CoeffRing, target: CoeffRing, value, gen_image) -> CoeffElem:
+    """Sum in ``target`` of prime-scalar * product of gen_image(name)**exp
+    over the canonical decomposition of ``value`` in ``ring``."""
+    out = target.zero()
     for s, powers in ring._terms_as_products(value):
-        acc = ring.elem(ring._embed_scalar(s))
+        acc = target.elem(target._embed_scalar(s))
         for name, e in powers:
             acc = acc * (gen_image(name) ** e)
         out = out + acc
@@ -736,7 +717,7 @@ class RingMap:
             raise RingMismatchError("element belongs to a different ring")
         if self._identity:
             return r
-        return _rebuild_from_products(self.ring, r.value, self.image)
+        return _rebuild_from_products(self.ring, self.ring, r.value, self.image)
 
 
 @dataclass(frozen=True, slots=True)
@@ -849,41 +830,6 @@ class SigmaDerivation:
                         acc = acc * (ring.generator(name) ** e)
                 out = out + acc
         return out
-
-
-# ---------------------------------------------------------------------------
-# spec-shaped conveniences
-
-
-def ring_add(a: CoeffElem, b: CoeffElem) -> CoeffElem:
-    return a + b
-
-
-def ring_mul(a: CoeffElem, b: CoeffElem) -> CoeffElem:
-    return a * b
-
-
-def is_unit(a: CoeffElem) -> bool:
-    return a.is_unit()
-
-
-def unit_inverse(a: CoeffElem) -> CoeffElem:
-    return a.inverse()
-
-
-def apply_map(m: RingMap, r: CoeffElem) -> CoeffElem:
-    return m.apply(r)
-
-
-def apply_derivation(d: SigmaDerivation, r: CoeffElem) -> CoeffElem:
-    return d.apply(r)
-
-
-def random_elem(ring: CoeffRing, degree_bound: int, seed: int) -> CoeffElem:
-    """Deterministic pseudorandom element; same seed, same element."""
-    if degree_bound < 0:
-        raise ValueError("degree_bound must be >= 0")
-    return ring.random_elem(Stream(seed), degree_bound)
 
 
 QQ = Rationals()

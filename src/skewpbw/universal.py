@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import Poly, star
+from .algebra import Poly, random_poly, star
 from .presentation import Presentation
-from .rings import CoeffElem, NotAUnitError, RingMismatchError
+from .rings import CoeffElem, NotAUnitError, RingMismatchError, _rebuild_from_products
 from .rng import Stream
 
 
@@ -79,13 +79,7 @@ class HomSpec:
                 f"bottom fields differ: {src.prime_ring().describe()} vs "
                 f"{tgt.prime_ring().describe()}"
             )
-        out = tgt.zero()
-        for s, powers in src._terms_as_products(r.value):
-            acc = tgt.elem(tgt._embed_scalar(s))
-            for name, e in powers:
-                acc = acc * (self.phi_coeff(name) ** e)
-            out = out + acc
-        return out
+        return _rebuild_from_products(src, tgt, r.value, self.phi_coeff)
 
     def y_power(self, alpha: tuple[int, ...]) -> Poly:
         """y_1^a1 * ... * y_n^an, multiplied left to right in the target."""
@@ -192,21 +186,6 @@ def identity_spec(P: Presentation) -> HomSpec:
     return HomSpec(P, P, phi, y)
 
 
-def _random_poly(P: Presentation, stream: Stream, max_degree: int) -> Poly:
-    terms: dict = {}
-    for _ in range(1 + stream.below(3)):
-        remaining = max_degree
-        alpha = []
-        for _ in range(P.n):
-            e = stream.below(remaining + 1) if remaining else 0
-            alpha.append(e)
-            remaining -= e
-        coeff = P.ring.random_elem(stream, 1)
-        if coeff:
-            terms[tuple(alpha)] = coeff
-    return Poly(P, terms)
-
-
 def verify_mutual_inverse(
     spec: HomSpec, spec_back: HomSpec, samples: int = 8, seed: int = 0
 ) -> bool:
@@ -235,10 +214,10 @@ def verify_mutual_inverse(
             return False
     stream = Stream(seed).split("mutual-inverse")
     for _ in range(samples):
-        f = _random_poly(spec.source, stream, 2)
+        f = random_poly(spec.source, stream, 2, max_terms=3)
         if extend_hom(spec_back, extend_hom(spec, f)) != f:
             return False
-        g = _random_poly(spec.target, stream, 2)
+        g = random_poly(spec.target, stream, 2, max_terms=3)
         if extend_hom(spec, extend_hom(spec_back, g)) != g:
             return False
     return True

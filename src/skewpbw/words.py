@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import CoeffElem
+from .rings import CoeffElem, add_terms
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,14 +130,7 @@ class FreeElem:
         return not self.terms
 
     def __add__(self, other: "FreeElem") -> "FreeElem":
-        out = dict(self.terms)
-        for w, m in other.terms.items():
-            s = out.get(w, 0) + m
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return FreeElem(out)
+        return FreeElem(add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "FreeElem":
         return FreeElem({w: -m for w, m in self.terms.items()})
@@ -152,16 +145,12 @@ class FreeElem:
 
     def concat(self, other: "FreeElem") -> "FreeElem":
         """Bilinear concatenation product of the free ring."""
-        out: dict[Word, int] = {}
-        for u, mu in self.terms.items():
-            for v, mv in other.terms.items():
-                w = u + v
-                s = out.get(w, 0) + mu * mv
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return FreeElem(out)
+        pairs = (
+            (u + v, mu * mv)
+            for u, mu in self.terms.items()
+            for v, mv in other.terms.items()
+        )
+        return FreeElem(add_terms({}, pairs))
 
     __mul__ = concat
 
@@ -188,11 +177,3 @@ class FreeElem:
 
     def __repr__(self):
         return f"FreeElem({self})"
-
-
-def free_add(u: FreeElem, v: FreeElem) -> FreeElem:
-    return u + v
-
-
-def free_concat(u: FreeElem, v: FreeElem) -> FreeElem:
-    return u.concat(v)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from skewpbw.algebra import Poly
 from skewpbw.presentation import Presentation
 from skewpbw.rings import LaurentRing, PolyRing, QQ, RingMap, SigmaDerivation
 from skewpbw.rng import Stream
@@ -43,21 +42,6 @@ def random_standard_word(P, stream: Stream, max_vars: int, pool=None):
     indices = sorted(stream.below(P.n) for _ in range(stream.below(max_vars + 1)))
     letters.extend(Var(i) for i in indices)
     return tuple(letters)
-
-
-def random_poly(P, stream: Stream, max_degree: int, max_terms: int = 2) -> Poly:
-    terms = {}
-    for _ in range(1 + stream.below(max_terms)):
-        remaining = max_degree
-        alpha = []
-        for _ in range(P.n):
-            e = stream.below(remaining + 1) if remaining else 0
-            alpha.append(e)
-            remaining -= e
-        coeff = P.ring.random_elem(stream, 1)
-        if coeff:
-            terms[tuple(alpha)] = coeff
-    return Poly(P, terms)
 
 
 def dense_presentation() -> Presentation:

@@ -10,7 +10,7 @@ import json
 import time
 
 from skewpbw import catalog, cli
-from skewpbw.algebra import Poly, sigma_pow, star
+from skewpbw.algebra import Poly, random_poly, sigma_pow, star
 from skewpbw.catalog import StructureConstants, jacobiator, lie_presentation
 from skewpbw.jsonio import presentation_to_json
 from skewpbw.presentation import check_all, check_condition3
@@ -26,7 +26,7 @@ from skewpbw.universal import (
 )
 from skewpbw.words import FreeElem, Scalar, is_standard
 
-from .genutil import random_poly, random_standard_word, random_word, scalar_pool
+from .genutil import random_standard_word, random_word, scalar_pool
 
 
 def _verdict(num, name, extra=""):

@@ -7,6 +7,7 @@ from skewpbw.algebra import (
     Poly,
     decompose_var_coeff,
     monomial_product,
+    random_poly,
     sigma_pow,
     star,
 )
@@ -14,8 +15,6 @@ from skewpbw.reduction import star_oracle
 from skewpbw.rings import LaurentRing, PolyRing, QQ, RingMap
 from skewpbw.presentation import Presentation
 from skewpbw.rng import Stream
-
-from .genutil import random_poly
 
 
 def test_deg():

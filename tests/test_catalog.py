@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewpbw.algebra import Poly, star
+from skewpbw.algebra import Poly, random_poly, star
 from skewpbw.catalog import (
     StructureConstants,
     get,
@@ -82,8 +82,6 @@ def test_abelian_lie_is_commutative_polynomial_ring():
     sc = StructureConstants.build(QQ, 3, {})
     P = lie_presentation(sc)
     stream = Stream(3)
-    from .genutil import random_poly
-
     for _ in range(10):
         f = random_poly(P, stream, 2)
         g = random_poly(P, stream, 2)

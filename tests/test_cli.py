@@ -1,9 +1,12 @@
 """Command-line contract: exit codes, determinism, output channels."""
 
 import json
+import time
+
+import pytest
 
 from skewpbw import cli
-from skewpbw.algebra import Poly
+from skewpbw.algebra import ExponentCapError, Poly
 from skewpbw.jsonio import presentation_to_json
 from skewpbw.catalog import StructureConstants, get, lie_presentation
 from skewpbw.rings import QQ
@@ -186,3 +189,56 @@ def test_cli_round_trip_nf(capsys):
     first = out.strip()
     code, out, _ = run(capsys, "nf", "catalog:weyl1", first)
     assert out.strip() == first
+
+
+def timed_run(capsys, *argv):
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    return result
+
+
+@pytest.mark.parametrize(
+    "expr, expected",
+    [
+        ("+".join(["x1"] * 3000), "3000*x1"),
+        ("*".join(["1"] * 3000), "1"),
+        ("-" * 3000 + "x1", "x1"),
+    ],
+)
+def test_long_expressions_do_not_recurse(capsys, expr, expected):
+    code, out, err = timed_run(capsys, "nf", "catalog:weyl1", expr)
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+def test_deep_nesting_is_a_positioned_error(capsys):
+    code, out, err = timed_run(capsys, "nf", "catalog:weyl1", "(" * 3000 + "x1" + ")" * 3000)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "col 101" in err and "nested" in err
+
+
+def test_constant_powers_use_the_coefficient_ring(capsys):
+    for k in (70000, 5000000):
+        code, out, err = timed_run(capsys, "nf", "catalog:quantum_plane", f"q^{k}")
+        assert (code, out, err) == (0, f"q^{k}\n", "")
+
+
+def test_exponent_cap_on_variables(capsys):
+    code, out, err = timed_run(capsys, "nf", "catalog:weyl1", "x1^70000")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "col 3" in err and "65536" in err
+
+
+def test_exponent_cap_error_exits_1(capsys, monkeypatch):
+    def capped(f, g):
+        raise ExponentCapError("exponent 65536 exceeds cap 65536")
+
+    monkeypatch.setattr(cli, "star", capped)
+    code, out, err = run(capsys, "mul", "catalog:weyl1", "x1", "x2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: exponent 65536 exceeds cap 65536\n"

@@ -4,12 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from skewpbw.algebra import Poly
+from skewpbw.algebra import Poly, random_poly
 from skewpbw.expr import ExprError, coeff_from_str, eval_str, parse
 from skewpbw.rings import LaurentRing, PolyRing, QQ
 from skewpbw.rng import Stream
-
-from .genutil import random_poly
 
 
 def test_parse_product(weyl1):

@@ -13,7 +13,6 @@ from skewpbw.rings import (
     RingMap,
     RingMismatchError,
     SigmaDerivation,
-    random_elem,
 )
 from skewpbw.rng import Stream
 
@@ -212,15 +211,15 @@ def test_laurent_generator_image_must_be_unit():
 
 
 def test_random_elem_contract():
-    a = random_elem(QQ, 0, 123)
-    b = random_elem(QQ, 0, 123)
+    a = QQ.random_elem(Stream(123), 0)
+    b = QQ.random_elem(Stream(123), 0)
     assert a == b  # same seed, same element
-    assert random_elem(QQ, 0, 124) != a or True  # different seed may differ
+    assert QQ.random_elem(Stream(124), 0) != a or True  # different seed may differ
     for _ in (1, 2):
-        p = random_elem(QT, 2, 99)
+        p = QT.random_elem(Stream(99), 2)
         for exps, _c in p.value:
             assert sum(exps) <= 2
-    assert random_elem(MIXED, 3, 7) == random_elem(MIXED, 3, 7)
+    assert MIXED.random_elem(Stream(7), 3) == MIXED.random_elem(Stream(7), 3)
 
 
 def test_canonical_no_zero_terms():

@@ -1,11 +1,13 @@
 """Homomorphism seeds, the termwise extension, and round-trip checks."""
 
+from fractions import Fraction
+
 import pytest
 
-from skewpbw.algebra import Poly, star
+from skewpbw.algebra import Poly, random_poly, star
 from skewpbw.catalog import get
 from skewpbw.presentation import Presentation
-from skewpbw.rings import LaurentRing, QQ
+from skewpbw.rings import LaurentRing, PolyRing, QQ
 from skewpbw.rng import Stream
 from skewpbw.universal import (
     HomSpec,
@@ -16,8 +18,6 @@ from skewpbw.universal import (
     identity_spec,
     verify_mutual_inverse,
 )
-
-from .genutil import random_poly
 
 
 def heisenberg_to_weyl():
@@ -146,3 +146,25 @@ def test_homspec_validation(u_heisenberg, weyl1):
     with pytest.raises(HomSpecError):
         # phi image must be constant
         HomSpec(qp, qp, {"q": Poly.variable(qp, 0)}, (Poly.variable(qp, 0), Poly.variable(qp, 1)))
+
+
+def test_map_coeff_across_towers(quantum_plane):
+    """phi: Q[q^+-1] -> Q[q^+-1][t], q |-> q^-1, a non-identity map into a
+    different coefficient ring."""
+    target = Presentation(PolyRing(LaurentRing(QQ, "q"), ("t",)), ("u",))
+    tq = target.ring.generator("q")
+    u = Poly.variable(target, 0)
+    spec = HomSpec(quantum_plane, target, {"q": Poly.const(target, tq.inverse())}, (u, u))
+    src = quantum_plane.ring
+    q = src.generator("q")
+    assert spec.map_coeff(src.one()) == target.ring.one()
+    assert spec.map_coeff(q) == tq.inverse()
+    r = 2 * q**3 - Fraction(1, 2) * q**-2 + 5
+    assert spec.map_coeff(r) == 2 * tq**-3 - Fraction(1, 2) * tq**2 + 5
+    assert str(spec.map_coeff(r)) == "-1/2*q^2 + 5 + 2*q^-3"
+    stream = Stream(17)
+    for _ in range(20):
+        a = src.random_elem(stream, 3)
+        b = src.random_elem(stream, 3)
+        assert spec.map_coeff(a + b) == spec.map_coeff(a) + spec.map_coeff(b)
+        assert spec.map_coeff(a * b) == spec.map_coeff(a) * spec.map_coeff(b)
