@@ -8,8 +8,10 @@ noncommutative one induced by the presentation's commutation rules.
 The fast product below rewrites exponent vectors directly: a variable is
 pushed into a sorted monomial by repeatedly applying the variable-variable
 relation to the leftmost out-of-order generator, and variables pass
-coefficients by the twist-and-derive rule.  Single steps are memoized per
-presentation.  Correctness of this path is anchored by the word-level
+coefficients by the twist-and-derive rule.  The engine computes on raw ring
+values (see rings.CoeffRing) and wraps coefficients in CoeffElem only at its
+edges; single steps are memoized per presentation, and the memo holds raw
+values too.  Correctness of this path is anchored by the word-level
 normalization oracle (see reduction.star_oracle), which the test suite and
 the multiply command's verify mode run against it.
 """
@@ -63,6 +65,15 @@ class Poly:
                 clean[alpha] = c
         self.pres = pres
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, pres, terms: dict) -> "Poly":
+        """Wrap a term map that is already clean (tuple monomials below the
+        exponent cap, nonzero coefficients of ``pres.ring``) unchecked."""
+        f = object.__new__(cls)
+        f.pres = pres
+        f.terms = terms
+        return f
 
     # -- constructors --------------------------------------------------------
 
@@ -123,12 +134,12 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         self._same(other)
-        return Poly(self.pres, add_terms(dict(self.terms), other.terms.items()))
+        return Poly._trusted(self.pres, add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.pres, {a: -c for a, c in self.terms.items()})
+        return Poly._trusted(self.pres, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -173,8 +184,13 @@ class Poly:
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers need a nonnegative int")
         out = Poly.one(self.pres)
-        for _ in range(k):
-            out = star(out, self)
+        base = self
+        while k:  # square and multiply
+            if k & 1:
+                out = star(out, base)
+            k >>= 1
+            if k:
+                base = star(base, base)
         return out
 
     def __eq__(self, other):
@@ -229,60 +245,68 @@ def _bump(alpha: Monomial, i: int) -> Monomial:
     return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
 
 
-def _add_scaled(acc: dict, items, r: CoeffElem) -> None:
+def _add_scaled(acc: dict, items, r, ring) -> None:
+    """acc += r * items over raw values of ``ring``, dropping zeros."""
+    mul, add, is_zero = ring._mul, ring._add, ring._is_zero
     for alpha, c in items:
-        v = r * c
-        if not v:
+        v = mul(r, c)
+        if is_zero(v):
             continue
         s = acc.get(alpha)
-        s = v if s is None else s + v
-        if s:
-            acc[alpha] = s
-        else:
-            acc.pop(alpha, None)
+        if s is not None:
+            v = add(s, v)
+            if is_zero(v):
+                del acc[alpha]
+                continue
+        acc[alpha] = v
 
 
 def _var_times_monomial(P, i: int, gamma: Monomial):
-    """x_i * x^gamma as a tuple of (monomial, coefficient), memoized."""
+    """x_i * x^gamma as a tuple of (monomial, raw coefficient), memoized."""
     cache = P._vtm_cache
     key = (i, gamma)
     hit = cache.get(key)
     if hit is not None:
         return hit
+    ring = P.ring
     j = next((k for k, e in enumerate(gamma) if e), None)
     if j is None or j >= i:
-        out = ((_bump(gamma, i), P.ring.one()),)
+        out = ((_bump(gamma, i), ring._one()),)
     else:
         # x_i x_j = c x_j x_i + sum_k a_k x_k + d  for the stored pair (j, i)
         gp = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1 :]
         rest = _var_times_monomial(P, i, gp)
         acc: dict = {}
-        _add_scaled(acc, _var_times_terms(P, j, rest), P.c_of(j, i))
+        _add_scaled(acc, _var_times_terms(P, j, rest), P.c_of(j, i).value, ring)
         for k in range(P.n):
-            a = P.a_of(j, i, k)
-            if a:
-                _add_scaled(acc, _var_times_monomial(P, k, gp), a)
+            a = P._a.get((j, i, k))  # nonzero entries only
+            if a is not None:
+                _add_scaled(acc, _var_times_monomial(P, k, gp), a.value, ring)
         dji = P.d_of(j, i)
         if dji:
-            _add_scaled(acc, ((gp, P.ring.one()),), dji)
+            _add_scaled(acc, ((gp, ring._one()),), dji.value, ring)
         out = tuple(acc.items())
     cache[key] = out
     return out
 
 
 def _var_times_terms(P, i: int, terms) -> tuple:
-    """x_i * (sum of coeff * monomial): coefficients pass through the i-th
-    twist, shedding a derivation term."""
+    """x_i * (sum of raw coeff * monomial): coefficients pass through the
+    i-th twist, shedding a derivation term.  An identity twist and a zero
+    derivation are skipped, and a value is wrapped only to call a map."""
+    ring = P.ring
     sigma = P.sigma[i]
     delta = P.delta[i]
+    twist = None if sigma.is_identity() else sigma.apply
+    derive = None if delta.is_zero_map() else delta.apply
+    one = ring._one()
     acc: dict = {}
     for gamma, s in terms:
-        u = sigma.apply(s)
-        if u:
-            _add_scaled(acc, _var_times_monomial(P, i, gamma), u)
-        v = delta.apply(s)
-        if v:
-            _add_scaled(acc, ((gamma, P.ring.one()),), v)
+        u = s if twist is None else twist(CoeffElem(ring, s)).value
+        if not ring._is_zero(u):
+            _add_scaled(acc, _var_times_monomial(P, i, gamma), u, ring)
+        if derive is not None:
+            _add_scaled(acc, ((gamma, one),), derive(CoeffElem(ring, s)).value, ring)
     return tuple(acc.items())
 
 
@@ -290,14 +314,16 @@ def star(f: Poly, g: Poly) -> Poly:
     """The ring product, rewritten directly over exponent vectors."""
     f._same(g)
     P = f.pres
+    ring = P.ring
+    g_terms = tuple((beta, c.value) for beta, c in g.terms.items())
     out: dict = {}
     for alpha, r in f.terms.items():
-        cur = tuple(g.terms.items())
+        cur = g_terms
         for i in range(P.n - 1, -1, -1):
             for _ in range(alpha[i]):
                 cur = _var_times_terms(P, i, cur)
-        _add_scaled(out, cur, r)
-    return Poly(P, out)
+        _add_scaled(out, cur, r.value, ring)
+    return Poly._trusted(P, {alpha: CoeffElem(ring, v) for alpha, v in out.items()})
 
 
 def sigma_pow(alpha: Monomial, r: CoeffElem, P) -> CoeffElem:

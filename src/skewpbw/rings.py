@@ -3,7 +3,9 @@
 Four ring kinds are supported, each with a canonical, hashable element
 representation so that element equality is semantic ring equality:
 
-  Rationals        value is a Fraction, always reduced.
+  Rationals        value is an int when the number is integral, otherwise
+                   a reduced Fraction with denominator > 1.  The two
+                   agree on ==, hash and str, so the choice never shows.
   PrimeField(p)    value is an int residue in [0, p).
   LaurentRing      one generator with integer exponents over Rationals or a
                    prime field; value is a sorted tuple of (exponent, coeff).
@@ -37,6 +39,14 @@ class RingMismatchError(ValueError):
 
 class NotAUnitError(ArithmeticError):
     """Inverse requested for a non-invertible element."""
+
+
+class CoefficientTooLargeError(ValueError):
+    """A coefficient has too many decimal digits to be printed."""
+
+
+MAX_PRINT_DIGITS = 4300  # Python's default cap on int -> str conversion
+_PRINT_BOUND = 10**MAX_PRINT_DIGITS
 
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -180,7 +190,7 @@ class CoeffRing:
         return self.elem(self._zero())
 
     def one(self) -> CoeffElem:
-        return self.elem(self._from_fraction(Fraction(1)))
+        return self.elem(self._one())
 
     def from_int(self, k: int) -> CoeffElem:
         return self.elem(self._from_fraction(Fraction(k)))
@@ -211,6 +221,9 @@ class CoeffRing:
     # -- raw value protocol --------------------------------------------------
 
     def _zero(self):
+        raise NotImplementedError
+
+    def _one(self):
         raise NotImplementedError
 
     def _from_fraction(self, q: Fraction):
@@ -248,11 +261,12 @@ class CoeffRing:
 
     def _terms_as_products(self, a) -> Iterator[tuple[Any, tuple[tuple[str, int], ...]]]:
         """Decompose a canonical value into (prime scalar, generator powers)
-        summands.  The prime scalar is a Fraction or a residue int."""
+        summands.  The prime scalar is a rational (int or Fraction) or a
+        residue int."""
         raise NotImplementedError
 
     def _embed_scalar(self, s) -> Any:
-        """Raw value of a prime scalar (Fraction or residue int)."""
+        """Raw value of a prime scalar (int, Fraction or residue int)."""
         raise NotImplementedError
 
     def prime_ring(self) -> "CoeffRing":
@@ -262,22 +276,35 @@ class CoeffRing:
         raise NotImplementedError
 
 
+def _rational(x):
+    """The raw value of a rational number: ``x`` as an int when it is
+    integral, else the reduced Fraction ``x``."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
 @dataclass(frozen=True, slots=True)
 class Rationals(CoeffRing):
     def _zero(self):
-        return Fraction(0)
+        return 0
+
+    def _one(self):
+        return 1
 
     def _from_fraction(self, q):
-        return q
+        return _rational(q)
 
     def _add(self, a, b):
-        return a + b
+        s = a + b
+        return s if type(s) is int else _rational(s)
 
     def _neg(self, a):
         return -a
 
     def _mul(self, a, b):
-        return a * b
+        p = a * b
+        return p if type(p) is int else _rational(p)
 
     def _is_zero(self, a):
         return a == 0
@@ -288,23 +315,28 @@ class Rationals(CoeffRing):
     def _inverse(self, a):
         if a == 0:
             raise NotAUnitError("0 has no inverse")
-        return 1 / a
+        return _rational(Fraction(1, a))
 
     def _is_constant(self, a):
         return True
 
     def _format(self, a):
+        if max(abs(a.numerator), a.denominator) >= _PRINT_BOUND:
+            raise CoefficientTooLargeError(
+                f"a coefficient has more than {MAX_PRINT_DIGITS} decimal digits "
+                "and is not printed"
+            )
         return str(a)
 
     def _random(self, stream, degree_bound):
-        return Fraction(stream.int_between(-9, 9), stream.int_between(1, 9))
+        return _rational(Fraction(stream.int_between(-9, 9), stream.int_between(1, 9)))
 
     def _terms_as_products(self, a):
         if a != 0:
             yield a, ()
 
     def _embed_scalar(self, s):
-        return Fraction(s)
+        return _rational(Fraction(s))
 
     def describe(self):
         return "Q"
@@ -335,6 +367,9 @@ class PrimeField(CoeffRing):
 
     def _zero(self):
         return 0
+
+    def _one(self):
+        return 1
 
     def _from_fraction(self, q):
         den = q.denominator % self.p
@@ -419,7 +454,7 @@ def format_terms(ring: CoeffRing, names, terms) -> str:
     """Print (exponent vector, raw coefficient in ``ring``) pairs as a signed
     sum in deglex order.  Coefficients are compared as ring elements, so in
     F_5 a coefficient of 4 prints as a leading minus."""
-    one = ring._from_fraction(Fraction(1))
+    one = ring._one()
     minus_one = ring._neg(one)
     out = ""
     for exps, c in sorted(terms, key=lambda t: deglex_key(t[0])):
@@ -482,6 +517,9 @@ class LaurentRing(_TermRing):
             raise ValueError("Laurent base must be Rationals or a prime field")
         _check_name(self.var)
 
+    def _one(self):
+        return ((0, self.base._one()),)
+
     def _from_fraction(self, q):
         v = self.base._from_fraction(q)
         return () if self.base._is_zero(v) else ((0, v),)
@@ -495,9 +533,12 @@ class LaurentRing(_TermRing):
     def generator(self, name):
         if name != self.var:
             raise KeyError(f"{self.describe()} has no generator {name!r}")
-        return self.elem(((1, self.base._from_fraction(Fraction(1))),))
+        return self.elem(((1, self.base._one()),))
 
     def _mul(self, a, b):
+        if len(a) == 1 == len(b):  # the base is a field: no zero product
+            (e1, c1), (e2, c2) = a[0], b[0]
+            return ((e1 + e2, self.base._mul(c1, c2)),)
         d: dict = {}
         for e1, c1 in a:
             for e2, c2 in b:
@@ -563,6 +604,9 @@ class PolyRing(_TermRing):
         if set(names) & set(self.base.generator_names()):
             raise ValueError("polynomial generators collide with base generators")
 
+    def _one(self):
+        return (((0,) * len(self.vars), self.base._one()),)
+
     def _from_fraction(self, q):
         v = self.base._from_fraction(q)
         zero = (0,) * len(self.vars)
@@ -577,12 +621,15 @@ class PolyRing(_TermRing):
     def generator(self, name):
         if name in self.vars:
             exps = tuple(1 if v == name else 0 for v in self.vars)
-            return self.elem(((exps, self.base._from_fraction(Fraction(1))),))
+            return self.elem(((exps, self.base._one()),))
         inner = self.base.generator(name)  # raises KeyError when unknown
         zero = (0,) * len(self.vars)
         return self.elem(((zero, inner.value),))
 
     def _mul(self, a, b):
+        if len(a) == 1 == len(b):  # the base is a domain: no zero product
+            (e1, c1), (e2, c2) = a[0], b[0]
+            return ((tuple(x + y for x, y in zip(e1, e2)), self.base._mul(c1, c2)),)
         d: dict = {}
         for e1, c1 in a:
             for e2, c2 in b:

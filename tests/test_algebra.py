@@ -1,7 +1,10 @@
 """Poly arithmetic, the product engine, and its leading-term contracts."""
 
+import math
+
 import pytest
 
+from skewpbw import catalog
 from skewpbw.algebra import (
     InconsistentPresentationError,
     Poly,
@@ -18,8 +21,6 @@ from skewpbw.rng import Stream
 
 
 def test_deg():
-    from skewpbw import catalog
-
     W = catalog.get("weyl", 1)
     assert Poly(W, {(1, 2): W.ring.one()}).deg() == 3
     assert Poly.const(W, 5).deg() == 0
@@ -217,6 +218,56 @@ def test_poly_pow_and_scalar_ops(weyl1):
     assert x2**3 == star(x2, star(x2, x2))
     f = random_poly(weyl1, Stream(5), 2)
     assert f + (-1) * f == Poly.zero(weyl1)
+
+
+def test_pow_by_squaring_matches_repeated_products(catalog_entries):
+    for name, P in catalog_entries:
+        stream = Stream(97).split(name)
+        for _ in range(4):
+            f = random_poly(P, stream, 2)
+            out = Poly.one(P)
+            for k in range(6):
+                assert f**k == out, (name, k)
+                out = star(out, f)
+
+
+# -- closed forms, computed without the engine ------------------------------
+
+
+def test_weyl_closed_form_large_coefficients():
+    # x2^a x1^b = sum_k k! C(a,k) C(b,k) x1^(b-k) x2^(a-k)  when [x2, x1] = 1
+    W = catalog.get("weyl", 1)
+    a = b = 48
+    x1, x2 = Poly.variable(W, 0), Poly.variable(W, 1)
+    expected = Poly(
+        W,
+        {
+            (b - k, a - k): W.ring.from_int(math.factorial(k) * math.comb(a, k) * math.comb(b, k))
+            for k in range(min(a, b) + 1)
+        },
+    )
+    assert star(x2**a, x1**b) == expected
+
+
+def test_quantum_plane_closed_form():
+    # x2^a x1^b = q^(ab) x1^b x2^a  when x2 x1 = q x1 x2
+    P = catalog.get("quantum_plane")
+    a = b = 32
+    q = P.ring.generator("q")
+    x1, x2 = Poly.variable(P, 0), Poly.variable(P, 1)
+    assert star(x2**a, x1**b) == Poly.monomial(P, (b, a), q ** (a * b))
+
+
+@pytest.mark.parametrize("name", ["diffusion2", "quantum_matrices2"])
+def test_signed_cubes_match_oracle_over_towers(name):
+    # diffusion2: Q[q^+-1] coefficients, c = q and linear terms;
+    # quantum_matrices2: Q[q^+-1][b, c], non-identity twists and d != 0
+    P = catalog.get(name)
+    x1, x2 = Poly.variable(P, 0), Poly.variable(P, 1)
+    for lam in (1, -1):
+        for mu in (1, -1):
+            f, g = (lam * x2) ** 3, (mu * x1) ** 3
+            assert star(f, g) == star_oracle(f, g)
 
 
 def test_exponent_cap(weyl1):

@@ -242,3 +242,20 @@ def test_exponent_cap_error_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: exponent 65536 exceeds cap 65536\n"
+
+
+def test_large_variable_powers_square(capsys):
+    code, out, err = timed_run(capsys, "nf", "catalog:weyl1", "x1^3000")
+    assert (code, out, err) == (0, "x1^3000\n", "")
+
+
+def test_oversized_coefficient_is_a_one_line_error(capsys):
+    code, out, err = timed_run(capsys, "nf", "catalog:weyl1", "2^20000")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "4300 decimal digits" in err
+    assert "set_int_max_str_digits" not in err
+    # 2^14000 has 4215 digits: still printed
+    code, out, err = timed_run(capsys, "nf", "catalog:weyl1", "2^14000")
+    assert (code, out, err) == (0, f"{2**14000}\n", "")

@@ -242,3 +242,39 @@ def test_format_parses_concepts():
     t = MIXED.generator("t")
     qq = MIXED.generator("q")
     assert str((qq + 1) * t) == "(q + 1)*t"
+
+
+# -- raw values of Q: int when integral, else a reduced Fraction -----------
+
+
+def test_integral_rationals_are_ints():
+    two = QQ.from_fraction(Fraction(4, 2)).value
+    assert type(two) is int and two == 2
+    third = QQ.from_int(3).inverse().value
+    assert type(third) is Fraction and third == Fraction(1, 3)
+    assert QQ.elem(Fraction(2)) == QQ.elem(2)
+    assert hash(QQ.elem(Fraction(2))) == hash(QQ.elem(2))
+
+
+def _rational_values(ring, value):
+    if ring == QQ:
+        return [value]
+    return [c for _, c in value]
+
+
+def test_rational_values_are_int_exactly_when_integral():
+    stream = Stream(29)
+    kinds = set()
+    for ring in (QQ, LQ):
+        for _ in range(60):
+            a = ring.random_elem(stream, 2)
+            b = ring.random_elem(stream, 2)
+            results = [a, a + b, a * b, a - b, -a]
+            if a.is_unit():
+                results.append(a.inverse())
+            for r in results:
+                for c in _rational_values(ring, r.value):
+                    assert type(c) in (int, Fraction)
+                    assert (type(c) is int) == (c.denominator == 1), (ring, c)
+                    kinds.add(type(c))
+    assert kinds == {int, Fraction}
