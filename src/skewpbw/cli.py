@@ -22,7 +22,7 @@ from .jsonio import (
 )
 from .presentation import PresentationError, check_all
 from .reduction import star_oracle
-from .rings import CoefficientTooLargeError, NotAUnitError, RingMismatchError
+from .rings import NotAUnitError, RingMismatchError
 from .universal import HomSpecError, check_hom_conditions, extend_hom
 
 GRAMMAR_NOTES = f"""expressions:
@@ -204,7 +204,6 @@ def main(argv=None) -> int:
         HomSpecError,
         NotAUnitError,
         RingMismatchError,
-        CoefficientTooLargeError,
         KeyError,
         ValueError,
         OSError,
