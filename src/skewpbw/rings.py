@@ -122,18 +122,7 @@ class CoeffElem:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        base = self
-        if k < 0:
-            base = self.inverse()
-            k = -k
-        out = self.ring.one()
-        while k:  # square and multiply
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return CoeffElem(self.ring, _raw_pow(self.ring, self.value, k))
 
     def __eq__(self, other):
         o = self._coerce(other) if not isinstance(other, CoeffElem) else other
@@ -336,7 +325,7 @@ class Rationals(CoeffRing):
             yield a, ()
 
     def _embed_scalar(self, s):
-        return _rational(Fraction(s))
+        return _rational(s)
 
     def describe(self):
         return "Q"
@@ -694,16 +683,49 @@ class PolyRing(_TermRing):
 # structure maps
 
 
-def _rebuild_from_products(ring: CoeffRing, target: CoeffRing, value, gen_image) -> CoeffElem:
-    """Sum in ``target`` of prime-scalar * product of gen_image(name)**exp
-    over the canonical decomposition of ``value`` in ``ring``."""
-    out = target.zero()
-    for s, powers in ring._terms_as_products(value):
-        acc = target.elem(target._embed_scalar(s))
-        for name, e in powers:
-            acc = acc * (gen_image(name) ** e)
-        out = out + acc
+def _raw_pow(ring: CoeffRing, v, e: int):
+    """Raw value of v**e in ``ring``, by square and multiply; a negative e
+    inverts v first (NotAUnitError when v is not a unit)."""
+    if e < 0:
+        v = ring._inverse(v)
+        e = -e
+    out = ring._one()
+    while e:
+        if e & 1:
+            out = ring._mul(out, v)
+        e >>= 1
+        if e:
+            v = ring._mul(v, v)
     return out
+
+
+def _rebuild_from_products(ring: CoeffRing, target: CoeffRing, value, products):
+    """Raw value in ``target`` of the sum, over the canonical decomposition
+    of ``value`` in ``ring`` into summands s * g1^e1 ... gm^em (prime scalar
+    times generator powers), of s times the product of each factor sequence
+    that ``products(((g1, e1), ..., (gm, em)))`` yields.
+
+    The factors are raw values of ``target``: for a ring map, one sequence of
+    generator-image powers; for a twisted derivation, one sequence per
+    twisted Leibniz summand.  When ``target`` is a term ring, every product
+    is merged into one term dict and sorted once at the end."""
+    mul = target._mul
+    term_ring = isinstance(target, _TermRing)
+    terms: dict = {}
+    out = target._zero()
+    for s, powers in ring._terms_as_products(value):
+        scalar = target._embed_scalar(s)
+        for factors in products(powers):
+            p = None
+            for f in factors:
+                p = f if p is None else mul(p, f)
+            p = scalar if p is None else mul(p, scalar)
+            if term_ring:
+                for key, c in p:
+                    _merge(terms, key, c, target.base)
+            else:
+                out = target._add(out, p)
+    return target._canon(terms) if term_ring else out
 
 
 @dataclass(frozen=True, slots=True)
@@ -713,11 +735,16 @@ class RingMap:
     Missing generators default to themselves.  Images of Laurent generators
     must be units, otherwise the extension is not defined on negative powers.
     Generator-free rings (Q, F_p) admit only the identity, which is forced.
+
+    ``_ladder`` memoises raw image powers image(g)**(sign * 2**k), at most
+    one per generator, sign and bit; it takes no part in equality, hashing
+    or printing.
     """
 
     ring: CoeffRing
     images: tuple[tuple[str, CoeffElem], ...]
     _identity: bool = field(compare=False, default=False)
+    _ladder: dict = field(compare=False, repr=False, default_factory=dict)
 
     @classmethod
     def identity(cls, ring: CoeffRing) -> "RingMap":
@@ -759,12 +786,45 @@ class RingMap:
     def is_identity(self) -> bool:
         return self._identity
 
+    def _power(self, name: str, e: int):
+        """Raw value of image(name)**e: the product of the ladder entries
+        image(name)**(sign * 2**k) over the set bits k of |e|, each entry
+        squared from the one below it the first time it is needed."""
+        ring = self.ring
+        ladder = self._ladder
+        sign = -1 if e < 0 else 1
+        e = abs(e)
+        out = rung = None
+        k = 0
+        while e:
+            key = (name, sign, k)
+            nxt = ladder.get(key)
+            if nxt is None:
+                if k:
+                    nxt = ring._mul(rung, rung)
+                else:
+                    nxt = self.image(name).value
+                    if sign < 0:
+                        nxt = ring._inverse(nxt)
+                ladder[key] = nxt
+            rung = nxt
+            if e & 1:
+                out = rung if out is None else ring._mul(out, rung)
+            e >>= 1
+            k += 1
+        return ring._one() if out is None else out
+
     def apply(self, r: CoeffElem) -> CoeffElem:
-        if r.ring != self.ring:
+        ring = self.ring
+        if r.ring is not ring and r.ring != ring:
             raise RingMismatchError("element belongs to a different ring")
         if self._identity:
             return r
-        return _rebuild_from_products(self.ring, self.ring, r.value, self.image)
+        power = self._power
+        value = _rebuild_from_products(
+            ring, ring, r.value, lambda powers: ([power(g, e) for g, e in powers],)
+        )
+        return CoeffElem(ring, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -839,44 +899,59 @@ class SigmaDerivation:
     def is_zero_map(self) -> bool:
         return self._zero
 
-    def _d_power(self, name: str, e: int) -> CoeffElem:
-        """d(g^e) by the twisted power rule; negative e via d(g^-1) =
+    def _d_power(self, name: str, e: int):
+        """Raw d(g^e) for the generator g = ``name``, by square and multiply
+        on the twisted Leibniz rule d(g^(a+b)) = twist(g)^a d(g^b) + d(g^a) g^b:
+        with n running over the leading bits of e,
+
+            d(g^2n)    = d(g^n) (twist(g)^n + g^n)
+            d(g^(n+1)) = twist(g)^n d(g) + d(g^n) g,
+
+        so the work is O(log e) ring products.  A negative e runs the same
+        ladder on g^-1, with twist(g^-1) = twist(g)^-1 and d(g^-1) =
         -twist(g)^-1 d(g) g^-1, which needs twist(g) invertible."""
         ring = self.ring
-        g = ring.generator(name)
-        dg = self.image(name)
-        sg = self.twist.image(name)
+        if e == 0:
+            return ring._zero()
+        g = ring.generator(name).value
+        dg = self.image(name).value
+        sg = self.twist.image(name).value
         if e < 0:
-            g = g.inverse()
-            dg = -(sg.inverse()) * dg * g
-            sg = sg.inverse()
+            g = ring._inverse(g)
+            sg = ring._inverse(sg)
+            dg = ring._neg(ring._mul(ring._mul(sg, dg), g))
             e = -e
-        out = ring.zero()
-        for m in range(e):
-            out = out + (sg**m) * dg * (g ** (e - 1 - m))
-        return out
+        s, p, d = sg, g, dg  # twist(g)^n, g^n, d(g^n) at n = 1
+        for bit in bin(e)[3:]:
+            d = ring._mul(d, ring._add(s, p))
+            s = ring._mul(s, s)
+            p = ring._mul(p, p)
+            if bit == "1":
+                d = ring._add(ring._mul(s, dg), ring._mul(d, g))
+                s = ring._mul(s, sg)
+                p = ring._mul(p, g)
+        return d
 
     def apply(self, r: CoeffElem) -> CoeffElem:
-        if r.ring != self.ring:
+        ring = self.ring
+        if r.ring is not ring and r.ring != ring:
             raise RingMismatchError("element belongs to a different ring")
         if self._zero:
-            return self.ring.zero()
-        ring = self.ring
-        out = ring.zero()
-        for s, powers in ring._terms_as_products(r.value):
-            scal = ring.elem(ring._embed_scalar(s))
-            # d(s * F1 ... Fm) = s * sum_k twist(F1..F(k-1)) d(Fk) F(k+1)..Fm
-            for k in range(len(powers)):
-                acc = scal
-                for idx, (name, e) in enumerate(powers):
-                    if idx < k:
-                        acc = acc * (self.twist.image(name) ** e)
-                    elif idx == k:
-                        acc = acc * self._d_power(name, e)
-                    else:
-                        acc = acc * (ring.generator(name) ** e)
-                out = out + acc
-        return out
+            return ring.zero()
+        twist = self.twist._power
+
+        def summands(powers):
+            # d(F1 ... Fm) = sum_k twist(F1 ... F(k-1)) d(Fk) F(k+1) ... Fm
+            for k, (name, e) in enumerate(powers):
+                dk = self._d_power(name, e)
+                if not ring._is_zero(dk):
+                    yield (
+                        [twist(g, x) for g, x in powers[:k]]
+                        + [dk]
+                        + [_raw_pow(ring, ring.generator(g).value, x) for g, x in powers[k + 1 :]]
+                    )
+
+        return CoeffElem(ring, _rebuild_from_products(ring, ring, r.value, summands))
 
 
 QQ = Rationals()

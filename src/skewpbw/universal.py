@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 
 from .algebra import Poly, random_poly, star
 from .presentation import Presentation
-from .rings import CoeffElem, NotAUnitError, RingMismatchError, _rebuild_from_products
+from .rings import (
+    CoeffElem,
+    NotAUnitError,
+    RingMismatchError,
+    _raw_pow,
+    _rebuild_from_products,
+)
 from .rng import Stream
 
 
@@ -79,7 +85,13 @@ class HomSpec:
                 f"bottom fields differ: {src.prime_ring().describe()} vs "
                 f"{tgt.prime_ring().describe()}"
             )
-        return _rebuild_from_products(src, tgt, r.value, self.phi_coeff)
+        value = _rebuild_from_products(
+            src,
+            tgt,
+            r.value,
+            lambda powers: ([_raw_pow(tgt, self.phi_coeff(g).value, e) for g, e in powers],),
+        )
+        return CoeffElem(tgt, value)
 
     def y_power(self, alpha: tuple[int, ...]) -> Poly:
         """y_1^a1 * ... * y_n^an, multiplied left to right in the target."""

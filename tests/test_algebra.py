@@ -1,6 +1,7 @@
 """Poly arithmetic, the product engine, and its leading-term contracts."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -268,6 +269,29 @@ def test_signed_cubes_match_oracle_over_towers(name):
         for mu in (1, -1):
             f, g = (lam * x2) ** 3, (mu * x1) ** 3
             assert star(f, g) == star_oracle(f, g)
+
+
+def test_quantum_matrices_multiterm_coefficients_match_oracle():
+    # random_poly coefficients on quantum_matrices2 are multiples of b, so
+    # each factor is scaled by a second draw to bring c and b^2 in
+    P = catalog.get("quantum_matrices2")
+    ring = P.ring
+    stream = Stream(67)
+    covered = 0
+    for _ in range(6):
+        f, g = (
+            Poly(P, {a: c * ring.random_nonzero(stream, 2) for a, c in h.terms.items()})
+            for h in (random_poly(P, stream, 2, 3), random_poly(P, stream, 2, 3))
+        )
+        for c in f.terms.values():
+            summands = list(ring._terms_as_products(c.value))
+            covered += (
+                len(summands) > 1
+                and any(type(s) is Fraction for s, _ in summands)
+                and {"b", "c"} <= {name for _, p in summands for name, _ in p}
+            )
+        assert star(f, g) == star_oracle(f, g)
+    assert covered >= 3
 
 
 def test_exponent_cap(weyl1):

@@ -9,7 +9,8 @@ from skewpbw import cli
 from skewpbw.algebra import ExponentCapError, Poly
 from skewpbw.jsonio import presentation_to_json
 from skewpbw.catalog import StructureConstants, get, lie_presentation
-from skewpbw.rings import QQ
+from skewpbw.presentation import Presentation
+from skewpbw.rings import QQ, LaurentRing, PolyRing, RingMap, SigmaDerivation
 
 
 def run(capsys, *argv):
@@ -259,3 +260,34 @@ def test_oversized_coefficient_is_a_one_line_error(capsys):
     # 2^14000 has 4215 digits: still printed
     code, out, err = timed_run(capsys, "nf", "catalog:weyl1", "2^14000")
     assert (code, out, err) == (0, f"{2**14000}\n", "")
+
+
+def _ore_extension(tmp_path, ring, twist_images, derivation_images):
+    """An Ore extension ring[u; sigma, delta] written to a JSON file."""
+    sigma = RingMap.from_images(ring, twist_images)
+    delta = SigmaDerivation.from_images(ring, sigma, derivation_images)
+    P = Presentation(ring, ("u",), sigma=[sigma], delta=[delta])
+    path = tmp_path / "ore.json"
+    path.write_text(json.dumps(presentation_to_json(P)))
+    return str(path), P
+
+
+def test_derivation_of_large_powers_is_bounded(capsys, tmp_path):
+    # Q[t][u; d/dt]: u t^n = t^n u + n t^(n-1)
+    QT = PolyRing(QQ, ("t",))
+    path, _ = _ore_extension(tmp_path, QT, {}, {"t": QT.one()})
+    code, out, err = timed_run(capsys, "nf", path, "u*t^65535")
+    assert (code, out, err) == (0, "t^65535*x1 + 65535*t^65534\n", "")
+
+
+def test_twisted_derivation_of_large_powers_is_bounded(capsys, tmp_path):
+    # Q[q^+-1][t][u; sigma(t) = q t, delta(t) = 1]:
+    # u t^n = q^n t^n u + (1 + q + ... + q^(n-1)) t^(n-1)
+    ring = PolyRing(LaurentRing(QQ, "q"), ("t",))
+    q, t = ring.generator("q"), ring.generator("t")
+    path, P = _ore_extension(tmp_path, ring, {"t": q * t}, {"t": ring.one()})
+    n = 8000
+    q_integer = ring.elem((((n - 1,), tuple((m, 1) for m in range(n))),))
+    expected = Poly(P, {(1,): q**n * t**n, (0,): q_integer})
+    code, out, err = timed_run(capsys, "nf", path, f"u*t^{n}")
+    assert (code, out, err) == (0, f"{expected}\n", "")

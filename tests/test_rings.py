@@ -278,3 +278,156 @@ def test_rational_values_are_int_exactly_when_integral():
                     assert (type(c) is int) == (c.denominator == 1), (ring, c)
                     kinds.add(type(c))
     assert kinds == {int, Fraction}
+
+
+# -- structure maps against an independent rebuild --------------------------
+#
+# sigma(r) and delta(r) are rebuilt here with plain CoeffElem arithmetic from
+# the generator images: summands read off the tower's value layout, powers by
+# repeated multiplication, d(g^e) as the linear twisted Leibniz sum.
+
+QM2 = PolyRing(LaurentRing(QQ, "q"), ("b", "c"))  # quantum_matrices2 coefficients
+F7_TOWER = PolyRing(PrimeField(7), ("t", "u"))
+F5_LAURENT_TOWER = PolyRing(LaurentRing(F5, "q"), ("t",))
+
+
+def _summands(ring, value):
+    """(prime scalar, {generator: exponent}) summands of a raw value."""
+    if isinstance(ring, LaurentRing):
+        for e, c in value:
+            yield c, {ring.var: e}
+    elif isinstance(ring, PolyRing):
+        for exps, c in value:
+            for s, inner in _summands(ring.base, c):
+                yield s, {**inner, **dict(zip(ring.vars, exps))}
+    elif value != 0:
+        yield value, {}
+
+
+def _power(x, e):
+    base = x if e >= 0 else x.inverse()
+    out = x.ring.one()
+    for _ in range(abs(e)):
+        out = out * base
+    return out
+
+
+def _sigma_oracle(sigma, r):
+    ring = r.ring
+    out = ring.zero()
+    for s, powers in _summands(ring, r.value):
+        term = ring.from_fraction(Fraction(s))
+        for g, e in powers.items():
+            term = term * _power(sigma.image(g), e)
+        out = out + term
+    return out
+
+
+def _d_power_oracle(delta, g, e):
+    """d(g^e) = sum over m < e of sigma(g)^m d(g) g^(e-1-m); for e < 0, from
+    0 = d(g^e g^-e) = sigma(g)^e d(g^-e) + d(g^e) g^-e."""
+    ring = delta.ring
+    x, sx, dx = ring.generator(g), delta.twist.image(g), delta.image(g)
+    if e < 0:
+        return -(_power(sx, e) * _d_power_oracle(delta, g, -e) * _power(x, e))
+    out = ring.zero()
+    for m in range(e):
+        out = out + _power(sx, m) * dx * _power(x, e - 1 - m)
+    return out
+
+
+def _delta_oracle(delta, r):
+    ring = r.ring
+    out = ring.zero()
+    for s, powers in _summands(ring, r.value):
+        factors = [(g, e) for g, e in powers.items() if e]
+        for k, (g, e) in enumerate(factors):
+            term = ring.from_fraction(Fraction(s))
+            for h, x in factors[:k]:
+                term = term * _power(delta.twist.image(h), x)
+            term = term * _d_power_oracle(delta, g, e)
+            for h, x in factors[k + 1 :]:
+                term = term * _power(ring.generator(h), x)
+            out = out + term
+    return out
+
+
+def _twisted_pairs():
+    """(twist, derivation) pairs over Laurent, mixed, quantum-matrix and F_p
+    towers.  lam * (sigma - id) is a sigma-derivation for every lam."""
+
+    def inner(ring, images, lam):
+        sigma = RingMap.from_images(ring, images)
+        d = {g: lam * (sigma.image(g) - ring.generator(g)) for g in ring.generator_names()}
+        return sigma, SigmaDerivation.from_images(ring, sigma, d)
+
+    q, t = MIXED.generator("q"), MIXED.generator("t")
+    mixed_sigma = RingMap.from_images(MIXED, {"t": q * t})
+    qb, b, c = QM2.generator("q"), QM2.generator("b"), QM2.generator("c")
+    ft, fu = F7_TOWER.generator("t"), F7_TOWER.generator("u")
+    lq = LQ.generator("q")
+    gq, gt = F5_LAURENT_TOWER.generator("q"), F5_LAURENT_TOWER.generator("t")
+    lq_identity = RingMap.identity(LQ)
+    half = Fraction(1, 2)
+    return [
+        inner(LQ, {"q": 2 * lq**-1}, lq**2 - Fraction(1, 3)),
+        (lq_identity, SigmaDerivation.from_images(LQ, lq_identity, {"q": lq * lq})),
+        inner(MIXED, {"q": q**-1, "t": q * t + half}, t - Fraction(2, 3) * q),
+        (mixed_sigma, SigmaDerivation.from_images(MIXED, mixed_sigma, {"t": MIXED.one()})),
+        inner(QM2, {"b": qb**-1 * b, "c": qb**-1 * c}, qb - half),
+        inner(QM2, {"q": qb**-1, "b": qb * c + half * b, "c": b * b * c}, b - Fraction(2, 3) * qb),
+        inner(F7_TOWER, {"t": 3 * ft + fu, "u": fu * fu}, ft + 2),
+        inner(F5_LAURENT_TOWER, {"q": 2 * gq**-1, "t": gq * gt}, gt - 1),
+    ]
+
+
+def _samples(ring, stream, count):
+    """Random elements, half of them times a generator monomial with
+    exponents up to 9 (down to -9 on Laurent generators)."""
+    inverted = ring.inverted_generator_names()
+    for k in range(count):
+        r = ring.random_elem(stream, 2)
+        if k % 2:
+            for g in ring.generator_names():
+                low = -9 if g in inverted else 0
+                r = r * ring.generator(g) ** stream.int_between(low, 9)
+        yield r
+
+
+def test_structure_maps_match_independent_rebuild():
+    stream = Stream(61)
+    negative = 0
+    for sigma, delta in _twisted_pairs():
+        ring = sigma.ring
+        for r in _samples(ring, stream, 12):
+            assert sigma.apply(r) == _sigma_oracle(sigma, r), (ring.describe(), r)
+            assert delta.apply(r) == _delta_oracle(delta, r), (ring.describe(), r)
+            negative += any(e < 0 for _, p in _summands(ring, r.value) for e in p.values())
+    assert negative >= 10
+
+
+def test_derivation_of_generator_powers_matches_linear_sum():
+    for _sigma, delta in _twisted_pairs():
+        ring = delta.ring
+        inverted = ring.inverted_generator_names()
+        for g in ring.generator_names():
+            low = -8 if g in inverted else 0
+            for e in range(low, 9):
+                got = delta.apply(ring.generator(g) ** e)
+                assert got == _d_power_oracle(delta, g, e), (ring.describe(), g, e)
+
+
+def test_power_memo_is_bounded_and_invisible():
+    qb, b, c = QM2.generator("q"), QM2.generator("b"), QM2.generator("c")
+    images = {"q": qb**-1, "b": qb * c + b, "c": b * c}
+    sigma = RingMap.from_images(QM2, images)
+    fresh = RingMap.from_images(QM2, images)
+    for e in (37, -37, 5, -2, 1):
+        r = qb**e * b ** abs(e) * c ** (abs(e) % 7)
+        assert sigma.apply(r) == _sigma_oracle(sigma, r)
+    # one entry per generator, sign and bit: 37 < 2^6
+    assert sigma._ladder
+    for g, sign, k in sigma._ladder:
+        assert g in QM2.generator_names() and sign in (1, -1) and 0 <= k < 6
+        assert sign == 1 or g == "q"
+    assert sigma == fresh and hash(sigma) == hash(fresh) and repr(sigma) == repr(fresh)
