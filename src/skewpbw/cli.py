@@ -109,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("homspec")
     p.add_argument("expr", nargs="?")
     p.add_argument("--check-only", action="store_true")
-    p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=16, help="ignored: the checks are exact")
+    p.add_argument("--seed", type=int, default=0, help="ignored: the checks are exact")
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("catalog", help="list built-in presentations or show one")
@@ -156,7 +156,7 @@ def cmd_mul(args) -> int:
 
 def cmd_hom(args) -> int:
     spec = load_homspec(args.homspec)
-    report = check_hom_conditions(spec, samples=args.samples, seed=args.seed)
+    report = check_hom_conditions(spec)
     if args.check_only:
         print(report.summary())
         return 0 if report.ok else 2

@@ -12,11 +12,12 @@ decided by an overlap check: every variable-variable-coefficient word and
 every decreasing variable triple must normalize to the same value along both
 reduction orders.  Condition 1 below covers the algebraic laws of the maps,
 condition 2 the (x_j, x_i, r) overlaps, condition 3 the (x_k, x_j, x_i)
-overlaps.  Condition 3 is exhaustive (finitely many triples); condition 2
-quantifies over all of R, which is discharged exactly for generator-free
-coefficient fields (both sides are additive in r, so the spanning set {1}
-decides it) and by generator coverage plus sampling otherwise.  Reports
-label each part "structural" or "sampled" accordingly.
+overlaps.  Condition 3 is exhaustive (finitely many triples).  Condition 2
+quantifies over all of R, but its defect E(r) is additive and obeys
+E(rs) = sigma_j sigma_i(r) E(s) + E(r) s, so checking it at 1 and at each
+generator of R decides it exactly (docs/exactness.md).  Condition 1 samples
+the laws of the structure maps and labels each injectivity verdict
+"structural" or "sampled".
 """
 
 from __future__ import annotations
@@ -476,40 +477,23 @@ def check_condition3(P: Presentation, i: int, j: int, k: int) -> Condition3Item:
     return Condition3Item(i, j, k, *_two_orders(P, (Var(k), Var(j)), Var(i)))
 
 
-def condition2_sample_set(P: Presentation, samples: int, stream: Stream) -> list[CoeffElem]:
-    """1, every generator, random elements, random generator products."""
-    ring = P.ring
-    out = [ring.one()]
-    seen = {ring.one()}
-    gens = [ring.generator(g) for g in ring.generator_names()]
-    for g in gens:
-        if g not in seen:
-            out.append(g)
-            seen.add(g)
-    for _ in range(samples):
-        r = ring.random_elem(stream, 2)
-        if r and r not in seen:
-            out.append(r)
-            seen.add(r)
-    if gens:
-        for _ in range(samples):
-            r = stream.choice(gens) * stream.choice(gens)
-            if r not in seen:
-                out.append(r)
-                seen.add(r)
-    return out
+def decisive_coefficients(ring: CoeffRing) -> list[CoeffElem]:
+    """1 and each generator: a twisted-Leibniz defect that vanishes there
+    vanishes on all of the ring (docs/exactness.md)."""
+    return [ring.one()] + [ring.generator(g) for g in ring.generator_names()]
 
 
 def check_all(P: Presentation, samples: int = 64, seed: int = 0) -> ConsistencyReport:
     """Run conditions 1-3; overall pass means the parameters define an
-    extension (exactly, up to the sampled scope recorded in the report)."""
-    base = Stream(seed)
+    extension.  Condition 2 is checked at 1 and at each coefficient
+    generator, which decides it for every r (docs/exactness.md); ``samples``
+    and ``seed`` drive only the sampled laws of condition 1."""
     report = validate_structure(P, samples=min(samples, 16), seed=seed)
-    report.condition2_mode = "structural" if not P.ring.generator_names() else "sampled"
+    report.condition2_mode = "structural"
+    rs = decisive_coefficients(P.ring)
     for i in range(P.n):
         for j in range(i + 1, P.n):
-            stream = base.split(f"cond2:{i},{j}")
-            for r in condition2_sample_set(P, samples, stream):
+            for r in rs:
                 report.condition2.append(check_condition2(P, i, j, r))
     for i in range(P.n):
         for j in range(i + 1, P.n):

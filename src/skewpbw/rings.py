@@ -644,6 +644,12 @@ class PolyRing(_TermRing):
             all(e == 0 for e in exps) and self.base._is_constant(c) for exps, c in a
         )
 
+    def _term_count(self, a):
+        # a lone constant term prints as its base value, itself maybe a sum
+        if len(a) == 1 and not any(a[0][0]):
+            return self.base._term_count(a[0][1])
+        return len(a)
+
     def _format(self, a):
         return format_terms(self.base, self.vars, a)
 

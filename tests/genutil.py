@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from skewpbw.algebra import Poly, star
 from skewpbw.presentation import Presentation
 from skewpbw.rings import LaurentRing, PolyRing, QQ, RingMap, SigmaDerivation
 from skewpbw.rng import Stream
+from skewpbw.universal import HomSpec
 from skewpbw.words import Scalar, Var
 
 
@@ -86,3 +88,60 @@ def coeff_fraction(c) -> Fraction:
     """Value of a rational coefficient (test-only shortcut)."""
     assert c.ring == QQ
     return c.value
+
+
+def pick(stream: Stream, seq):
+    """An entry of ``seq`` chosen by the high bits of the next draw.  The low
+    bits of the generator's state are not uniform (``Stream.below`` returns
+    odd values only for every even bound), so a pick by ``choice`` would
+    never reach half of an even-length pool."""
+    return seq[(stream.next_u64() >> 32) * len(seq) >> 32]
+
+
+def perturbed_presentation(stream: Stream) -> Presentation:
+    """Two variables over Q[t] or Q[q^-1,q] (chosen by the first draw): the
+    commuting pair, with each structure map, c_12, a_12 and d_12
+    replaced by a small random choice.  The twists scale the generator,
+    the derivations send it to a multiple of a power of itself, and the
+    zero choices are weighted so that roughly a fifth of the draws still
+    satisfy condition 2."""
+    if stream.next_u64() >> 63:
+        ring = PolyRing(QQ, ("t",))
+        g = ring.generator("t")
+        powers, unit_powers = [ring.one(), g, g * g], []
+    else:
+        ring = LaurentRing(QQ, "q")
+        g = ring.generator("q")
+        powers, unit_powers = [g.inverse(), ring.one(), g, g * g], [g, g.inverse()]
+    units = [ring.one(), -ring.one(), ring.from_int(2), Fraction(1, 2) * ring.one()] + unit_powers
+    name = ring.generator_names()[0]
+    sigma, delta = [], []
+    for _ in range(2):
+        s = RingMap.from_images(ring, {name: pick(stream, units) * g})
+        scale = pick(stream, [0, 0, 0, 1, -2])
+        sigma.append(s)
+        delta.append(SigmaDerivation.from_images(ring, s, {name: scale * pick(stream, powers)}))
+    zero = ring.zero()
+    return Presentation(
+        ring,
+        ("u", "v"),
+        sigma=sigma,
+        delta=delta,
+        c={(0, 1): pick(stream, units)},
+        a={(0, 1, 0): pick(stream, [zero, zero, zero, ring.one()])},
+        d={(0, 1): pick(stream, [zero, zero, zero, ring.one(), g])},
+    )
+
+
+def perturbed_homspec(stream: Stream) -> HomSpec:
+    """A seed from a ``perturbed_presentation`` to itself: the generator goes
+    to a unit multiple of itself, and each variable to a small random
+    element (a variable, a scaled or shifted variable, a product, or 1)."""
+    P = perturbed_presentation(stream)
+    ring = P.ring
+    name = ring.generator_names()[0]
+    g = ring.generator(name)
+    x1, x2 = Poly.variable(P, 0), Poly.variable(P, 1)
+    phi = {name: Poly.const(P, pick(stream, [1, -1, 2]) * g)}
+    images = [x1, x2, x1, x2, 2 * x1, x1 + Poly.const(P, g), x2 + 1, star(x1, x2), Poly.one(P)]
+    return HomSpec(P, P, phi, (pick(stream, images), pick(stream, images)))

@@ -291,3 +291,55 @@ def test_twisted_derivation_of_large_powers_is_bounded(capsys, tmp_path):
     expected = Poly(P, {(1,): q**n * t**n, (0,): q_integer})
     code, out, err = timed_run(capsys, "nf", path, f"u*t^{n}")
     assert (code, out, err) == (0, f"{expected}\n", "")
+
+
+@pytest.mark.parametrize(
+    "expr, printed",
+    [
+        ("(q + 1)*x1", "(q + 1)*x1"),
+        ("-(q + 1)*x1", "(-q - 1)*x1"),
+        ("(q + b)*x1", "(b + q)*x1"),
+    ],
+)
+def test_tower_coefficients_round_trip(capsys, expr, printed):
+    # a constant coefficient of Q[q^+-1][b,c] that is a sum in Q[q^+-1]
+    token = "catalog:quantum_matrices2"
+    assert run(capsys, "nf", token, expr) == (0, printed + "\n", "")
+    assert run(capsys, "nf", token, printed) == (0, printed + "\n", "")
+
+
+def test_laurent_tower_coefficients_round_trip(capsys, tmp_path):
+    ring = PolyRing(LaurentRing(QQ, "q"), ("t",))
+    path, _ = _ore_extension(tmp_path, ring, {"t": ring.generator("q") * ring.generator("t")}, {})
+    for expr, printed in [("(q + 1)*u", "(q + 1)*x1"), ("(q^-1 - q)*u^2 + t*u", "(-q + q^-1)*x1^2 + t*x1")]:
+        assert run(capsys, "nf", path, expr) == (0, printed + "\n", "")
+        assert run(capsys, "nf", path, printed) == (0, printed + "\n", "")
+
+
+def test_hom_of_large_powers_is_bounded(capsys, tmp_path):
+    spec = {"source": "catalog:u_heisenberg", "target": "catalog:weyl1", "phi": {}, "y": ["x2", "x1", "1"]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = timed_run(capsys, "hom", str(path), "x1^3200")
+    assert (code, out, err) == (0, "x2^3200\n", "")
+
+
+def test_hom_condition_i_failure_exits_2(capsys, tmp_path):
+    # both variables of qdiff_presentation sent to the second one, which
+    # passes t unchanged although the first variable twists it
+    from .genutil import qdiff_presentation
+
+    pres = tmp_path / "qdiff.json"
+    pres.write_text(json.dumps(presentation_to_json(qdiff_presentation())))
+    spec = {"source": str(pres), "target": str(pres), "phi": {"q": "q", "t": "t"}, "y": ["x2", "x2"]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "hom", str(path), "--check-only")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[:2] == ["condition (i): 6 checks, FAIL", "condition (ii): 1 checks, all pass"]
+    assert lines[2].startswith("(i) y1 past r=t: lhs=")
+    assert lines[3:] == ["overall: FAIL"]
+    code, out, err = run(capsys, "hom", str(path), "x1")
+    assert (code, out) == (2, "")
+    assert err.startswith("(i) y1 past r=t: lhs=")

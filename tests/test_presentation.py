@@ -208,8 +208,7 @@ def test_check_all_catalog(catalog_entries):
     for name, P in catalog_entries:
         rep = check_all(P, samples=12, seed=7)
         assert rep.overall, (name, rep.failures())
-        expected_mode = "structural" if not P.ring.generator_names() else "sampled"
-        assert rep.condition2_mode == expected_mode
+        assert rep.condition2_mode == "structural"
         if P.n == 2:
             assert rep.condition3 == []  # no triple exists: vacuous pass
 
@@ -241,7 +240,63 @@ def test_qdiff_presentation_consistent():
 
     rep = check_all(qdiff_presentation(), samples=12, seed=3)
     assert rep.overall
-    assert rep.condition2_mode == "sampled"
+    assert rep.condition2_mode == "structural"
+
+
+def _sampled_condition2_ok(P, i, j, stream, samples=8) -> bool:
+    """Condition 2 for the pair (i, j) at seeded random coefficients and at
+    products of two generators, none of them chosen to be 1 or a generator."""
+    from .genutil import pick
+
+    ring = P.ring
+    gens = [ring.generator(g) for g in ring.generator_names()]
+    rs = [ring.random_elem(stream, 2) for _ in range(samples)]
+    rs += [pick(stream, gens) * pick(stream, gens) for _ in range(samples if gens else 0)]
+    return all(check_condition2(P, i, j, r).ok for r in rs)
+
+
+def _condition2_verdicts(P, stream) -> list[bool]:
+    """check_all's condition-2 verdict per pair, each asserted to rest on 1
+    and the generators only and to agree with the sampled verdict."""
+    rep = check_all(P, samples=4)
+    assert rep.condition2_mode == "structural"
+    verdicts = []
+    for i in range(P.n):
+        for j in range(i + 1, P.n):
+            items = [it for it in rep.condition2 if (it.i, it.j) == (i, j)]
+            assert [str(it.r) for it in items] == ["1", *P.ring.generator_names()]
+            exact = all(it.ok for it in items)
+            assert exact == _sampled_condition2_ok(P, i, j, stream.split((i, j))), (P, i, j)
+            verdicts.append(exact)
+    return verdicts
+
+
+def test_condition2_generators_decide_known_presentations(catalog_entries):
+    from .genutil import dense_presentation, qdiff_presentation
+
+    stream = Stream(41)
+    for name, P in catalog_entries:
+        assert all(_condition2_verdicts(P, stream.split(name))), name
+    assert _condition2_verdicts(qdiff_presentation(), stream.split("qdiff")) == [True]
+    # dense_presentation's derivation d/dt does not match c = 2 at r = t
+    assert _condition2_verdicts(dense_presentation(), stream.split("dense")) == [False]
+
+
+def test_condition2_generators_decide_perturbed_family():
+    from .genutil import perturbed_presentation
+
+    stream = Stream(43)
+    verdicts = {}
+    for k in range(200):
+        P = perturbed_presentation(stream.split(k))
+        (ok,) = _condition2_verdicts(P, stream.split(("sample", k)))
+        key = (P.ring.describe(), ok)
+        verdicts[key] = verdicts.get(key, 0) + 1
+    # both verdicts occur often, over both rings: the agreement is not vacuous
+    assert sum(v for (_, ok), v in verdicts.items() if ok) >= 20, verdicts
+    assert sum(v for (_, ok), v in verdicts.items() if not ok) >= 20, verdicts
+    for ring in ("Q[t]", "Q[q^+-1]"):
+        assert verdicts.get((ring, True), 0) >= 5 and verdicts.get((ring, False), 0) >= 5, verdicts
 
 
 def test_fingerprint_stability(catalog_entries):
