@@ -20,7 +20,7 @@ from .jsonio import (
     load_presentation,
     presentation_to_json,
 )
-from .presentation import PresentationError, check_all
+from .presentation import MAX_SAMPLES, PresentationError, check_all
 from .reduction import star_oracle
 from .rings import NotAUnitError, RingMismatchError
 from .universal import HomSpecError, check_hom_conditions, extend_hom
@@ -84,7 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the existence checks on a presentation")
     p.add_argument("presentation")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=16,
+        help=f"random draws per variable for condition 1's sampled laws (0 to {MAX_SAMPLES})",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)

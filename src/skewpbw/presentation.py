@@ -33,6 +33,7 @@ from .rng import Stream
 from .words import FreeElem, Scalar, Var
 
 POSITIONAL_RE = re.compile(r"^x([0-9]+)$")
+MAX_SAMPLES = 1024  # condition 1's draws per variable: a cap on check_all's work
 
 
 class PresentationError(ValueError):
@@ -483,12 +484,15 @@ def decisive_coefficients(ring: CoeffRing) -> list[CoeffElem]:
     return [ring.one()] + [ring.generator(g) for g in ring.generator_names()]
 
 
-def check_all(P: Presentation, samples: int = 64, seed: int = 0) -> ConsistencyReport:
+def check_all(P: Presentation, samples: int = 16, seed: int = 0) -> ConsistencyReport:
     """Run conditions 1-3; overall pass means the parameters define an
     extension.  Condition 2 is checked at 1 and at each coefficient
     generator, which decides it for every r (docs/exactness.md); ``samples``
-    and ``seed`` drive only the sampled laws of condition 1."""
-    report = validate_structure(P, samples=min(samples, 16), seed=seed)
+    (0 to MAX_SAMPLES draws per variable) and ``seed`` drive only the
+    sampled laws of condition 1."""
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be between 0 and {MAX_SAMPLES}, got {samples}")
+    report = validate_structure(P, samples=samples, seed=seed)
     report.condition2_mode = "structural"
     rs = decisive_coefficients(P.ring)
     for i in range(P.n):

@@ -68,7 +68,9 @@ class CoeffElem:
     """An exact element of a coefficient ring, in canonical form.
 
     Instances are immutable and hashable; two elements compare equal exactly
-    when they are the same ring element.  Arithmetic coerces plain ints and
+    when they are the same ring element.  The hash is the raw value's: equal
+    elements share a ring, and elements of different rings with the same
+    raw value collide but stay unequal.  Arithmetic coerces plain ints and
     Fractions on either side.
     """
 
@@ -133,7 +135,7 @@ class CoeffElem:
         return self.value == o.value
 
     def __hash__(self):
-        return hash((self.ring, self.value))
+        return hash(self.value)
 
     def __bool__(self):
         return not self.ring._is_zero(self.value)

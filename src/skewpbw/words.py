@@ -16,23 +16,50 @@ ordered lexicographically.  Both rewrite moves of the straightening recursion
 strictly decrease it, which is the termination measure.  Inversions are
 counted over all position pairs, not only adjacent ones; any measure the
 moves strictly decrease works, and the pair count does.
+
+Words are dictionary keys in the straightening memo tables, and a tuple
+re-hashes every letter on each lookup, so each letter hashes once: a
+Scalar computes the hash of its coefficient when it is built, and there is
+one shared Var object per index, which hashes and compares by identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rings import CoeffElem, add_terms
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Var:
     index: int
+
+    def __new__(cls, index: int):
+        var = _VARS.get(index)
+        if var is None:
+            var = object.__new__(cls)
+            object.__setattr__(var, "index", index)
+            var = _VARS.setdefault(index, var)
+        return var
+
+    def __reduce__(self):
+        # copies and unpickled letters are the shared instance
+        return (Var, (self.index,))
+
+
+_VARS: dict[int, Var] = {}
 
 
 @dataclass(frozen=True, slots=True)
 class Scalar:
     value: CoeffElem
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.value))
+
+    def __hash__(self):
+        return self._hash
 
 
 Letter = Var | Scalar

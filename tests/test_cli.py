@@ -95,6 +95,17 @@ def test_check_json_output(capsys, tmp_path):
     assert [(it["i"], it["j"], it["k"]) for it in bad] == [(1, 2, 3)]
 
 
+def test_check_samples_default_and_cap(capsys):
+    default = run(capsys, "check", "catalog:quantum_plane", "--json", "--seed", "4")
+    assert default == run(
+        capsys, "check", "catalog:quantum_plane", "--json", "--seed", "4", "--samples", "16"
+    )
+    assert default[0] == 0
+    code, out, err = run(capsys, "check", "catalog:quantum_plane", "--samples", "5000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "1024" in err and err.count("\n") == 1
+
+
 def test_check_seed_determinism(capsys):
     code1, out1, err1 = run(capsys, "check", "catalog:quantum_plane", "--seed", "9")
     code2, out2, err2 = run(capsys, "check", "catalog:quantum_plane", "--seed", "9")

@@ -2,8 +2,10 @@
 
 import pytest
 
+from skewpbw import presentation
 from skewpbw.catalog import StructureConstants, jacobiator, lie_presentation
 from skewpbw.presentation import (
+    MAX_SAMPLES,
     Presentation,
     PresentationError,
     check_all,
@@ -211,6 +213,24 @@ def test_check_all_catalog(catalog_entries):
         assert rep.condition2_mode == "structural"
         if P.n == 2:
             assert rep.condition3 == []  # no triple exists: vacuous pass
+
+
+def test_check_all_passes_samples_through(u_sl2, monkeypatch):
+    seen = []
+
+    def spy(P, samples, seed):
+        seen.append(samples)
+        return validate_structure(P, samples, seed)
+
+    monkeypatch.setattr(presentation, "validate_structure", spy)
+    for samples in (32, 0, MAX_SAMPLES):
+        assert check_all(u_sl2, samples=samples).overall
+    check_all(u_sl2)
+    assert seen == [32, 0, MAX_SAMPLES, 16]
+    for samples in (MAX_SAMPLES + 1, -1):
+        with pytest.raises(ValueError, match=f"between 0 and {MAX_SAMPLES}"):
+            check_all(u_sl2, samples=samples)
+    assert len(seen) == 4
 
 
 def test_check_all_reports_failing_triples():

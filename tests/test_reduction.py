@@ -1,8 +1,12 @@
 """Straightening, collapse, section, normalization, and their identities."""
 
+from fractions import Fraction
+
 import pytest
 
-from skewpbw.algebra import Poly
+from skewpbw import catalog
+from skewpbw.algebra import Poly, star
+from skewpbw.expr import eval_str
 from skewpbw.reduction import (
     WordLengthError,
     collapse_q,
@@ -243,3 +247,49 @@ def test_memo_is_observably_pure(weyl1):
     first = [reduce_p(w, weyl1) for w in words]
     second = [reduce_p(w, weyl1) for w in words]  # all memo hits
     assert first == second
+
+
+def _same_work_inputs(P):
+    """Fixed words with variable and coefficient inversions, and fixed
+    products for the word-level oracle."""
+    ring = P.ring
+    if ring.generator_names():  # Q[q^+-1]
+        q = ring.generator("q")
+        r, s = Scalar(q), Scalar(q**-1 + Fraction(2, 3))
+    else:
+        r, s = Scalar(ring.from_fraction(Fraction(1, 2))), Scalar(ring.from_int(3))
+    x = [Var(i) for i in range(P.n)]
+    last, first = x[-1], x[0]
+    words = [
+        (last, first),
+        tuple(reversed(x)),
+        (last, last, first, x[1], first),
+        (x[1], r, first, last, s),
+        (last, first, last, first, x[1], x[1]),
+        (r, last, s, first, first, last, r),
+    ]
+    top = f"x{P.n}"
+    products = [
+        (f"{top}^2 + x1", "x2*x1"),
+        (f"{top}^3*x1", "x1^2 + x2"),
+        (f"(x1 + {top})^2", f"(x1 - {top})^2"),
+    ]
+    return words, products
+
+
+@pytest.mark.parametrize(
+    "name, reduce_entries, h_entries",
+    # sizes measured while letters still hashed by content, field by field
+    [("u_sl2", 256, 218), ("diffusion2", 246, 601)],
+)
+def test_straightening_work_is_pinned(name, reduce_entries, h_entries):
+    """A fresh presentation straightens the same words into memo tables of
+    the same, pinned sizes: a cheaper lookup leaves the rewriting alone."""
+    P = catalog.get(name)
+    words, products = _same_work_inputs(P)
+    for w in words:
+        assert all(is_standard(sw) for sw, _ in reduce_p(w, P))
+    for a, b in products:
+        f, g = eval_str(a, P), eval_str(b, P)
+        assert star_oracle(f, g) == star(f, g)
+    assert (len(P._reduce_cache), len(P._h_cache)) == (reduce_entries, h_entries)

@@ -431,3 +431,40 @@ def test_power_memo_is_bounded_and_invisible():
         assert g in QM2.generator_names() and sign in (1, -1) and 0 <= k < 6
         assert sign == 1 or g == "q"
     assert sigma == fresh and hash(sigma) == hash(fresh) and repr(sigma) == repr(fresh)
+
+
+def test_equal_coefficients_hash_as_their_raw_value(catalog_entries):
+    """An element rebuilt from its summands by generator products equals the
+    original and hashes alike, as its raw value, over every test and catalog
+    ring, the Fraction, Laurent and polynomial towers among them."""
+    rings = ALL_RINGS + [QM2, F5_LAURENT_TOWER, LaurentRing(F5, "q")]
+    rings += [P.ring for _, P in catalog_entries]
+    stream = Stream(67)
+    fractions = 0
+    for ring in rings:
+        identity = RingMap.identity(ring)
+        elems = [ring.zero(), ring.one(), ring.from_fraction(Fraction(-7, 3))]
+        for r in elems + list(_samples(ring, stream, 10)):
+            rebuilt = _sigma_oracle(identity, r)
+            assert rebuilt == r and hash(rebuilt) == hash(r) == hash(r.value), (ring.describe(), r)
+            fractions += any(type(s) is Fraction for s, _ in _summands(ring, r.value))
+    assert fractions >= 10
+    assert hash(QQ.from_int(3)) == hash(3) and {3: "three"}[QQ.from_int(3)] == "three"
+    assert hash(QQ.from_fraction(Fraction(1, 2))) == hash(Fraction(1, 2))
+
+
+def test_equal_raw_values_in_different_rings_stay_apart():
+    q, r = LaurentRing(QQ, "q"), LaurentRing(QQ, "r")
+    # same raw value: 3 in Q and F_5; the generator in Q[q^+-1], Q[r^+-1] and F_5[q^+-1]
+    colliding = [
+        (QQ.from_int(3), F5.from_int(3)),
+        (q.generator("q"), r.generator("r")),
+        (q.generator("q"), LaurentRing(F5, "q").generator("q")),
+    ]
+    # different raw values: the constant 3 in Q and in Q[q^+-1]
+    apart = [(QQ.from_int(3), q.from_int(3)), (QQ.one(), QT.one())]
+    for a, b in colliding + apart:
+        assert a != b and b != a
+        assert len({a: 1, b: 2}) == 2
+    for a, b in colliding:
+        assert a.value == b.value and hash(a) == hash(b)

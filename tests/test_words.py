@@ -1,6 +1,14 @@
 """Words, complexity, violations, and the free ring operations."""
 
-from skewpbw.rings import QQ
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+
+import pytest
+
+from skewpbw.expr import coeff_from_str
+from skewpbw.rings import QQ, LaurentRing, PolyRing, PrimeField
 from skewpbw.rng import Stream
 from skewpbw.words import (
     FreeElem,
@@ -105,3 +113,52 @@ def test_free_elem_ops():
 
 def test_word_str():
     assert word_str((Scalar(R), Var(0), Var(1))) == "3·x1·x2"
+
+
+def test_var_letters_are_shared_frozen_instances():
+    assert Var(0) is Var(0)
+    assert Var(index=2) is Var(2)
+    assert Var(0) is not Var(1) and Var(0) != Var(1)
+    assert hash(Var(1)) == hash(Var(1))
+    with pytest.raises(FrozenInstanceError):
+        Var(0).index = 1
+    assert Var(0).index == 0
+    assert repr(Var(3)) == "Var(index=3)"
+    word = (Var(1), Scalar(R), Var(0))
+    for clone in (copy.copy(word), copy.deepcopy(word), pickle.loads(pickle.dumps(word))):
+        assert clone == word and clone[0] is Var(1) and clone[2] is Var(0)
+
+
+def test_scalar_repr_and_frozen():
+    assert repr(Scalar(R)) == "Scalar(value=<3 in Q>)"
+    with pytest.raises(FrozenInstanceError):
+        Scalar(R).value = S
+    assert pickle.loads(pickle.dumps(Scalar(R))) == Scalar(R)
+
+
+def test_scalar_letters_hash_as_their_coefficient(catalog_entries):
+    """Two Scalars built independently (by arithmetic and by parsing the
+    printed coefficient) are equal and hash alike, and a Scalar hashes as
+    its coefficient, over every catalog ring and the towers."""
+    f5 = PrimeField(5)
+    rings = [P.ring for _, P in catalog_entries] + [
+        f5,
+        LaurentRing(f5, "q"),
+        PolyRing(QQ, ("t",)),
+        PolyRing(LaurentRing(f5, "q"), ("t",)),
+        PolyRing(PrimeField(7), ("t", "u")),
+    ]
+    stream = Stream(31)
+    fractions = 0
+    for ring in rings:
+        third = ring.from_fraction(Fraction(-7, 3))
+        for k in range(12):
+            r = ring.random_elem(stream, 3)
+            if k % 2:
+                r = r * third
+            a, b = Scalar(r), Scalar(coeff_from_str(str(r), ring))
+            assert a == b and hash(a) == hash(b), (ring.describe(), r)
+            assert hash(a) == hash(r), (ring.describe(), r)
+            assert {a: 1}[b] == 1
+            fractions += "/" in str(r)
+    assert fractions >= 10
