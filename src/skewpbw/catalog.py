@@ -100,15 +100,9 @@ def jacobiator(sc: StructureConstants, i: int, j: int, k: int) -> tuple[CoeffEle
     if not 0 <= i < j < k < sc.n:
         raise ValueError("jacobiator expects i < j < k")
     term1 = sc.bracket_vec(sc.bracket(j, i), k)
-    inner = sc.bracket(k, i)
-    term2 = [sc.ring.zero()] * sc.n
-    for m, coeff in enumerate(inner):
-        if coeff:
-            outer = sc.bracket(j, m)
-            for t in range(sc.n):
-                term2[t] = term2[t] + coeff * outer[t]
+    term2 = sc.bracket_vec(sc.bracket(k, i), j)  # [[x_k,x_i],x_j] = -[x_j,[x_k,x_i]]
     term3 = sc.bracket_vec(sc.bracket(k, j), i)
-    return tuple(term1[t] + term2[t] + term3[t] for t in range(sc.n))
+    return tuple(term1[t] - term2[t] + term3[t] for t in range(sc.n))
 
 
 def lie_presentation(sc: StructureConstants) -> Presentation:

@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=16,
-        help=f"random draws per variable for condition 1's sampled laws (0 to {MAX_SAMPLES})",
+        help=f"draws per variable for condition 1's kernel search over F_p (0 to {MAX_SAMPLES})",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -19,8 +19,8 @@ stored, so the zero element of the structured kinds is the empty tuple.
 
 Ring endomorphisms (RingMap) and twisted derivations (SigmaDerivation) are
 given by generator images and extended structurally.  The endomorphism and
-twisted-Leibniz laws therefore hold by construction; consistency checkers
-still sample them, since callers may hand in duck-typed replacements.
+twisted-Leibniz laws therefore hold by construction, and the existence
+checker accepts these two types and no others.
 """
 
 from __future__ import annotations
@@ -960,6 +960,32 @@ class SigmaDerivation:
                     )
 
         return CoeffElem(ring, _rebuild_from_products(ring, ring, r.value, summands))
+
+
+# ---------------------------------------------------------------------------
+# linear independence
+
+
+def _rows_independent(rows: list[dict]) -> bool:
+    """Fraction-free elimination over an integral domain; True when the rows
+    (column -> nonzero CoeffElem) are linearly independent over the
+    coefficient ring's fraction field, equivalently over the ring itself."""
+    pivots: list[tuple] = []  # (column, row)
+    for row in rows:
+        row = dict(row)
+        for col, prow in pivots:
+            v = row.get(col)
+            if not v:
+                continue
+            pv = prow[col]
+            zero = pv.ring.zero()
+            row = {k: pv * row.get(k, zero) - v * prow.get(k, zero) for k in set(row) | set(prow)}
+            row = {k: x for k, x in row.items() if x}
+        if not row:
+            return False
+        col = sorted(row)[0]
+        pivots.append((col, row))
+    return True
 
 
 QQ = Rationals()

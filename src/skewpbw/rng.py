@@ -36,11 +36,13 @@ class Stream:
         return self.state
 
     def below(self, n: int) -> int:
-        """Uniform-ish integer in [0, n).  Modulo bias is irrelevant at the
-        sample sizes used here and keeps the generator trivially portable."""
+        """Integer in [0, n) by multiply-shift (Lemire): the high bits of
+        next_u64() * n, with bias below n / 2^64.  ``next_u64() % n`` would
+        read the low bits, which are not random: the state is always odd,
+        so every even n would give odd values only."""
         if n <= 0:
             raise ValueError("below() needs n >= 1")
-        return self.next_u64() % n
+        return (self.next_u64() * n) >> 64
 
     def int_between(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi], inclusive."""

@@ -31,6 +31,7 @@ from .rings import (
     RingMismatchError,
     _raw_pow,
     _rebuild_from_products,
+    _rows_independent,
 )
 
 
@@ -234,34 +235,6 @@ def _monomials_up_to(n: int, degree: int):
                     yield (head,) + rest
 
         yield from parts(n, d)
-
-
-def _rows_independent(rows: list[dict]) -> bool:
-    """Fraction-free elimination over an integral domain; True when the rows
-    are linearly independent over the coefficient ring's fraction field,
-    equivalently over the ring itself."""
-    pivots: list[tuple] = []  # (column, row)
-    for row in rows:
-        row = dict(row)
-        for col, prow in pivots:
-            v = row.get(col)
-            if not v:
-                continue
-            pv = prow[col]
-            row = {
-                k: (pv * row.get(k, _zero_like(pv))) - (v * prow.get(k, _zero_like(pv)))
-                for k in set(row) | set(prow)
-            }
-            row = {k: x for k, x in row.items() if x}
-        if not row:
-            return False
-        col = sorted(row)[0]
-        pivots.append((col, row))
-    return True
-
-
-def _zero_like(e: CoeffElem) -> CoeffElem:
-    return e.ring.zero()
 
 
 def basis_images_independent(spec: HomSpec, degree: int = 3) -> bool:

@@ -90,14 +90,6 @@ def coeff_fraction(c) -> Fraction:
     return c.value
 
 
-def pick(stream: Stream, seq):
-    """An entry of ``seq`` chosen by the high bits of the next draw.  The low
-    bits of the generator's state are not uniform (``Stream.below`` returns
-    odd values only for every even bound), so a pick by ``choice`` would
-    never reach half of an even-length pool."""
-    return seq[(stream.next_u64() >> 32) * len(seq) >> 32]
-
-
 def perturbed_presentation(stream: Stream) -> Presentation:
     """Two variables over Q[t] or Q[q^-1,q] (chosen by the first draw): the
     commuting pair, with each structure map, c_12, a_12 and d_12
@@ -117,19 +109,19 @@ def perturbed_presentation(stream: Stream) -> Presentation:
     name = ring.generator_names()[0]
     sigma, delta = [], []
     for _ in range(2):
-        s = RingMap.from_images(ring, {name: pick(stream, units) * g})
-        scale = pick(stream, [0, 0, 0, 1, -2])
+        s = RingMap.from_images(ring, {name: stream.choice(units) * g})
+        scale = stream.choice([0, 0, 0, 1, -2])
         sigma.append(s)
-        delta.append(SigmaDerivation.from_images(ring, s, {name: scale * pick(stream, powers)}))
+        delta.append(SigmaDerivation.from_images(ring, s, {name: scale * stream.choice(powers)}))
     zero = ring.zero()
     return Presentation(
         ring,
         ("u", "v"),
         sigma=sigma,
         delta=delta,
-        c={(0, 1): pick(stream, units)},
-        a={(0, 1, 0): pick(stream, [zero, zero, zero, ring.one()])},
-        d={(0, 1): pick(stream, [zero, zero, zero, ring.one(), g])},
+        c={(0, 1): stream.choice(units)},
+        a={(0, 1, 0): stream.choice([zero, zero, zero, ring.one()])},
+        d={(0, 1): stream.choice([zero, zero, zero, ring.one(), g])},
     )
 
 
@@ -142,6 +134,6 @@ def perturbed_homspec(stream: Stream) -> HomSpec:
     name = ring.generator_names()[0]
     g = ring.generator(name)
     x1, x2 = Poly.variable(P, 0), Poly.variable(P, 1)
-    phi = {name: Poly.const(P, pick(stream, [1, -1, 2]) * g)}
+    phi = {name: Poly.const(P, stream.choice([1, -1, 2]) * g)}
     images = [x1, x2, x1, x2, 2 * x1, x1 + Poly.const(P, g), x2 + 1, star(x1, x2), Poly.one(P)]
-    return HomSpec(P, P, phi, (pick(stream, images), pick(stream, images)))
+    return HomSpec(P, P, phi, (stream.choice(images), stream.choice(images)))

@@ -354,3 +354,39 @@ def test_hom_condition_i_failure_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "hom", str(path), "x1")
     assert (code, out) == (2, "")
     assert err.startswith("(i) y1 past r=t: lhs=")
+
+
+def test_non_injective_twists_exit_2_with_witness(capsys, tmp_path):
+    qt = PolyRing(QQ, ("t",))
+    laurent_t = PolyRing(LaurentRing(QQ, "q"), ("t",))
+    qst = PolyRing(QQ, ("s", "t"))
+    t = qst.generator("t")
+    cases = [
+        (qt, {"t": qt.one()}, "condition 1 fails at x1: sigma1(t - 1) = 0"),
+        (laurent_t, {"t": laurent_t.generator("q")}, "sigma1(q), sigma1(t) are algebraically"),
+        (qst, {"s": t, "t": t}, "sigma1(s), sigma1(t) are algebraically dependent"),
+    ]
+    paths = []
+    for k, (ring, images, witness) in enumerate(cases):
+        (tmp_path / str(k)).mkdir()
+        path, _ = _ore_extension(tmp_path / str(k), ring, images, {})
+        paths.append(path)
+        for seed in "0123":
+            code, out, err = run(capsys, "check", path, "--seed", seed)
+            assert code == 2 and out.endswith("overall: FAIL\n"), out
+            assert "nonzero FAIL; injectivity: not injective (structural)" in out
+            assert witness in out
+    # the first witness is a real kernel element: u (t - 1) = sigma(t - 1) u = 0
+    assert run(capsys, "nf", paths[0], "u*(t - 1)") == (0, "0\n", "")
+
+
+def test_check_json_injectivity_is_structural_on_the_catalog(capsys):
+    from skewpbw.catalog import all_presentations
+
+    for name, _ in all_presentations():
+        code, out, err = run(capsys, "check", f"catalog:{name}", "--json", "--seed", "3")
+        assert code == 0, name
+        items = json.loads(out)["condition1"]
+        assert {(it["injectivity"], it["injectivity_mode"]) for it in items} == {
+            ("injective", "structural")
+        }, name

@@ -17,6 +17,7 @@ from skewpbw.presentation import (
 from skewpbw.rings import (
     LaurentRing,
     PolyRing,
+    PrimeField,
     QQ,
     RingMap,
     SigmaDerivation,
@@ -126,7 +127,163 @@ def test_injectivity_labels():
     qt = mixed.generator("q") * mixed.generator("t")
     P3 = Presentation(mixed, ("u",), sigma=[RingMap.from_images(mixed, {"t": qt})])
     rep = validate_structure(P3, samples=8, seed=3)
-    assert rep.condition1[0].injectivity_mode == "sampled"
+    assert rep.condition1[0].injectivity == "injective"
+    assert rep.condition1[0].injectivity_mode == "structural"
+
+
+def _one_twist(ring, images):
+    return Presentation(ring, ("x",), sigma=[RingMap.from_images(ring, images)])
+
+
+def test_constant_images_and_zero_jacobians_fail_condition_1():
+    qt = PolyRing(QQ, ("t",))
+    laurent_t = PolyRing(LaurentRing(QQ, "q"), ("t",))
+    qst = PolyRing(QQ, ("s", "t"))
+    t = qst.generator("t")
+    cases = [
+        (_one_twist(qt, {"t": qt.one()}), "sigma1(t - 1) = 0"),
+        (_one_twist(laurent_t, {"t": laurent_t.generator("q")}), "zero Jacobian"),
+        (_one_twist(qst, {"s": t, "t": t}), "zero Jacobian"),
+    ]
+    for P, witness in cases:
+        for seed in range(4):
+            rep = check_all(P, seed=seed)
+            item = rep.condition1[0]
+            assert (item.injectivity, item.injectivity_mode) == ("not injective", "structural")
+            assert not item.nonzero_ok and not item.ok and not rep.overall
+            assert witness in item.witness
+            assert rep.failures() == [f"condition 1 fails at x1: {item.witness}"]
+
+
+def test_laws_are_checked_by_type():
+    ring = PolyRing(QQ, ("t",))
+    sigma = RingMap.from_images(ring, {"t": 2 * ring.generator("t")})
+    P = Presentation(ring, ("u",), sigma=[sigma])
+    P.delta = (SigmaDerivation.zero(ring),)  # twisted by the identity, not by sigma
+    item = validate_structure(P).condition1[0]
+    assert item.endomorphism_ok and not item.derivation_ok and item.nonzero_ok
+    assert item.witness == "delta1 is not a SigmaDerivation twisted by sigma1"
+    P.sigma = (_BrokenDerivation(ring, sigma),)  # anything that is not a RingMap
+    item = validate_structure(P).condition1[0]
+    assert not item.endomorphism_ok and not item.ok
+    assert (item.injectivity, item.injectivity_mode) == ("not decided", "skipped")
+    assert item.witness == "sigma1 is not a RingMap"
+
+
+def test_injectivity_is_structural_on_known_presentations(catalog_entries):
+    from .genutil import qdiff_presentation
+
+    for name, P in catalog_entries + [("qdiff", qdiff_presentation())]:
+        for it in check_all(P).condition1:
+            verdict = (it.injectivity, it.injectivity_mode, it.ok)
+            assert verdict == ("injective", "structural", True), name
+
+
+def test_injectivity_over_prime_fields():
+    f5 = PolyRing(PrimeField(5), ("t",))
+    item = validate_structure(_one_twist(f5, {"t": f5.generator("t") ** 5})).condition1[0]
+    assert (item.injectivity, item.injectivity_mode) == ("injective", "structural")
+    f7 = PolyRing(PrimeField(7), ("t", "u"))
+    t, u = f7.generator("t"), f7.generator("u")
+    # zero Jacobians: t -> t^7 is injective, t -> u is not; only the label is pinned
+    for images in ({"t": t**7}, {"t": u}):
+        item = validate_structure(_one_twist(f7, images), samples=16, seed=1).condition1[0]
+        assert item.injectivity_mode == "sampled"
+        assert item.injectivity in ("not injective", "no kernel element found")
+    item = validate_structure(_one_twist(f7, {"t": t**7}), samples=0).condition1[0]
+    assert (item.injectivity, item.injectivity_mode) == ("no kernel element found", "sampled")
+    # a nonzero Jacobian decides over F_p too
+    item = validate_structure(_one_twist(f7, {"t": u, "u": t + u**7})).condition1[0]
+    assert (item.injectivity, item.injectivity_mode) == ("injective", "structural")
+
+
+def test_samples_reach_only_the_prime_field_kernel_search(catalog_entries, monkeypatch):
+    from .genutil import dense_presentation, qdiff_presentation
+
+    draws = []
+
+    def counting_next(self, _next=Stream.next_u64):
+        draws.append(1)
+        return _next(self)
+
+    monkeypatch.setattr(Stream, "next_u64", counting_next)
+    rational = [P for _, P in catalog_entries] + [qdiff_presentation(), dense_presentation()]
+    qst = PolyRing(QQ, ("s", "t"))
+    rational.append(_one_twist(qst, {"s": qst.generator("t")}))
+    for P in rational:
+        many = check_all(P, samples=MAX_SAMPLES, seed=5)
+        assert many.to_dict() == check_all(P, samples=0).to_dict()
+    assert draws == []
+    f7 = PolyRing(PrimeField(7), ("t", "u"))
+    check_all(_one_twist(f7, {"t": f7.generator("t") ** 7}), samples=3)
+    assert draws
+
+
+def _twist_with_known_kernel(ring, stream):
+    """A twist of Q[s, t] or Q[q^+-1][t] drawn from shapes whose kernel is
+    known by construction: (sigma, a nonzero kernel element or None)."""
+    choice = stream.choice
+    units = [1, -1, 2, -3]
+    if ring.generator_names() == ("s", "t"):
+        s, t = ring.generator("s"), ring.generator("t")
+        polys_t = [ring.zero(), ring.one(), t, t * t - 2, 3 * t**3 + t]
+        hs = [t, s + t, s * t - 1, 2 * s + 1, s * s + t]
+        a, c, e, f = choice(units), choice(units), choice(units), choice(polys_t)
+        kind = stream.below(5)
+        if kind == 0:  # triangular automorphism
+            return RingMap.from_images(ring, {"s": a * s + f, "t": c * t + e}), None
+        if kind == 1:  # triangular after the swap: Jacobian determinant -ac
+            return RingMap.from_images(ring, {"s": a * t + e, "t": c * s + f}), None
+        if kind == 2:  # monomial images: Jacobian determinant a c m k s^(m-1) t^(n+k-1)
+            m, n, k = 1 + stream.below(2), stream.below(3), 1 + stream.below(3)
+            return RingMap.from_images(ring, {"s": a * s**m * t**n, "t": c * t**k}), None
+        if kind == 3:  # sigma(s) = sigma(f(t)) puts s - f(t) in the kernel
+            sigma_t = c * t + e
+            f_at = RingMap.from_images(ring, {"t": sigma_t}).apply(f)
+            return RingMap.from_images(ring, {"s": f_at, "t": sigma_t}), s - f
+        # two powers of one h: c^pa s^pb - t^pa is in the kernel
+        h, pa, pb = choice(hs), 1 + stream.below(3), 1 + stream.below(3)
+        return RingMap.from_images(ring, {"s": h**pa, "t": c * h**pb}), c**pa * s**pb - t**pa
+    q, t = ring.generator("q"), ring.generator("t")
+    u, k = choice(units), choice([1, -1, 2, -2])
+    laurents = [ring.one(), q + 1, q.inverse(), 3 * q * q - q, -2 * ring.one()]
+    g = choice(laurents)
+    kind = stream.below(4)
+    if kind < 2:  # Jacobian determinant k u q^(k-1) a m t^(m-1) q^j
+        m, j = 1 + stream.below(2), choice([-1, 0, 1])
+        image = choice(units) * t**m * q**j + g
+        return RingMap.from_images(ring, {"q": u * q**k, "t": image}), None
+    if kind == 2:  # sigma(t) = sigma(g(q)) puts t - g(q) in the kernel
+        sigma = RingMap.from_images(ring, {"q": u * q**k})
+        return RingMap.from_images(ring, {"q": u * q**k, "t": sigma.apply(g)}), t - g
+    # a constant image of q puts q - u in the kernel
+    return RingMap.from_images(ring, {"q": u * ring.one(), "t": choice(units) * t + g}), q - u
+
+
+def test_injectivity_cross_check_family():
+    """The exact verdict against kernels known by construction; every
+    injective verdict is also checked at seeded nonzero coefficients."""
+    stream = Stream(47)
+    rings = [PolyRing(QQ, ("s", "t")), PolyRing(LaurentRing(QQ, "q"), ("t",))]
+    verdicts = {}
+    for k in range(120):
+        ring = rings[k % 2]
+        sigma, kernel = _twist_with_known_kernel(ring, stream.split(k))
+        item = validate_structure(Presentation(ring, ("x",), sigma=[sigma])).condition1[0]
+        assert item.injectivity_mode == "structural", (k, sigma)
+        assert (item.injectivity == "not injective") == (kernel is not None), (k, sigma)
+        if kernel is not None:
+            assert kernel and not sigma.apply(kernel), (k, sigma, kernel)
+        else:
+            draws = Stream(53).split(k)
+            rs = [ring.random_nonzero(draws, 2) for _ in range(8)]
+            rs += [r * draws.choice(rs) for r in rs]
+            assert all(sigma.apply(r) for r in rs), (k, sigma)
+        key = (ring.describe(), item.injectivity)
+        verdicts[key] = verdicts.get(key, 0) + 1
+    for ring in rings:
+        for verdict in ("injective", "not injective"):
+            assert verdicts.get((ring.describe(), verdict), 0) >= 20, verdicts
 
 
 def test_condition2_r_one_always_passes(catalog_entries):
@@ -264,14 +421,16 @@ def test_qdiff_presentation_consistent():
 
 
 def _sampled_condition2_ok(P, i, j, stream, samples=8) -> bool:
-    """Condition 2 for the pair (i, j) at seeded random coefficients and at
-    products of two generators, none of them chosen to be 1 or a generator."""
-    from .genutil import pick
-
+    """Condition 2 for the pair (i, j) at seeded random coefficients, at
+    products of two generators, and at each random coefficient times a
+    generator, none of them chosen to be 1 or a generator.  The last kind
+    reaches odd degrees over one generator, where g*g is always g^2: a
+    defect that vanishes on even polynomials shows there."""
     ring = P.ring
     gens = [ring.generator(g) for g in ring.generator_names()]
-    rs = [ring.random_elem(stream, 2) for _ in range(samples)]
-    rs += [pick(stream, gens) * pick(stream, gens) for _ in range(samples if gens else 0)]
+    draws = [ring.random_elem(stream, 2) for _ in range(samples)]
+    rs = draws + [stream.choice(gens) * stream.choice(gens) for _ in range(samples if gens else 0)]
+    rs += [stream.choice(gens) * r for r in draws if gens]
     return all(check_condition2(P, i, j, r).ok for r in rs)
 
 

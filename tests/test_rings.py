@@ -133,6 +133,17 @@ def test_derivation_ddt():
     assert ddt.apply(QT.from_int(7)).is_zero()
 
 
+def _known_structure_maps():
+    """(sigma_i, delta_i) of every catalog entry and of the q-difference
+    test presentation."""
+    from skewpbw import catalog
+
+    from .genutil import qdiff_presentation
+
+    for P in [P for _, P in catalog.all_presentations()] + [qdiff_presentation()]:
+        yield from zip(P.sigma, P.delta)
+
+
 def test_map_laws_randomized():
     stream = Stream(23)
     q = MIXED.generator("q")
@@ -142,11 +153,13 @@ def test_map_laws_randomized():
         RingMap.from_images(MIXED, {"t": q * t}),
         RingMap.from_images(MIXED, {"t": t * t + 1, "q": q**-1}),
     ]
+    maps += [sigma for sigma, _ in _known_structure_maps()]
     for sigma in maps:
-        assert sigma.apply(MIXED.one()) == MIXED.one()
+        ring = sigma.ring
+        assert sigma.apply(ring.one()) == ring.one()
         for _ in range(25):
-            r = MIXED.random_elem(stream, 2)
-            s = MIXED.random_elem(stream, 2)
+            r = ring.random_elem(stream, 2)
+            s = ring.random_elem(stream, 2)
             assert sigma.apply(r + s) == sigma.apply(r) + sigma.apply(s)
             assert sigma.apply(r * s) == sigma.apply(r) * sigma.apply(s)
 
@@ -164,11 +177,13 @@ def test_derivation_twisted_leibniz_randomized():
         (ident, SigmaDerivation.from_images(MIXED, ident, {"t": t, "q": q * q})),
         (sigma, SigmaDerivation.zero(MIXED, sigma)),
     ]
+    cases += list(_known_structure_maps())
     for twist, delta in cases:
-        assert delta.apply(MIXED.one()).is_zero()
+        ring = delta.ring
+        assert delta.apply(ring.one()).is_zero()
         for _ in range(25):
-            r = MIXED.random_elem(stream, 2)
-            s = MIXED.random_elem(stream, 2)
+            r = ring.random_elem(stream, 2)
+            s = ring.random_elem(stream, 2)
             assert delta.apply(r + s) == delta.apply(r) + delta.apply(s)
             assert delta.apply(r * s) == twist.apply(r) * delta.apply(s) + delta.apply(r) * s
 

@@ -182,8 +182,6 @@ def _condition_i_verdicts(spec, stream, samples=8) -> list[bool]:
     """check_hom_conditions' condition-(i) verdict per variable, each
     asserted to rest on 1 and the generators only and to agree with the
     verdict at seeded random coefficients and generator products."""
-    from .genutil import pick
-
     ring = spec.source.ring
     names = ring.generator_names()
     gens = [ring.generator(g) for g in names]
@@ -196,7 +194,7 @@ def _condition_i_verdicts(spec, stream, samples=8) -> list[bool]:
         exact = all(it.ok for it in items)
         st = stream.split(i)
         rs = [ring.random_elem(st, 2) for _ in range(samples)]
-        rs += [pick(st, gens) * pick(st, gens) for _ in range(samples if gens else 0)]
+        rs += [st.choice(gens) * st.choice(gens) for _ in range(samples if gens else 0)]
         assert exact == all(_condition_i_holds(spec, i, r) for r in rs), (spec, i)
         verdicts.append(exact)
     return verdicts
