@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from fractions import Fraction
 
-from .rings import CoeffElem, RingMismatchError, add_terms, deglex_key, format_terms
+from .rings import CoeffElem, RingMismatchError, add_terms, format_terms
 from .rng import Stream
 
 Monomial = tuple  # tuple[int, ...]
@@ -119,9 +119,6 @@ class Poly:
         if not self.terms:
             return None
         return max(sum(a) for a in self.terms)
-
-    def ordered_terms(self) -> list[tuple[Monomial, CoeffElem]]:
-        return sorted(self.terms.items(), key=lambda t: deglex_key(t[0]))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -272,21 +269,31 @@ def _var_times_monomial(P, i: int, gamma: Monomial):
     j = next((k for k, e in enumerate(gamma) if e), None)
     if j is None or j >= i:
         out = ((_bump(gamma, i), ring._one()),)
-    else:
-        # x_i x_j = c x_j x_i + sum_k a_k x_k + d  for the stored pair (j, i)
-        gp = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1 :]
-        rest = _var_times_monomial(P, i, gp)
+        cache[key] = out
+        return out
+    # x_i x_j = c x_j x_i + sum_k a_k x_k + d  for the stored pair (j, i), so
+    # x_i x_j^e x^tail is built from x_i x_j^(e-1) x^tail.  Start from the
+    # highest lower power in the memo and climb to gamma_j: the recursion
+    # depth does not grow with gamma_j.
+    head, tail = gamma[:j], gamma[j + 1 :]
+    e = gamma[j] - 1
+    while e and (i, head + (e,) + tail) not in cache:
+        e -= 1
+    out = _var_times_monomial(P, i, head + (e,) + tail)
+    c = P.c_of(j, i).value
+    dji = P.d_of(j, i)
+    for e in range(e + 1, gamma[j] + 1):
+        gp = head + (e - 1,) + tail
         acc: dict = {}
-        _add_scaled(acc, _var_times_terms(P, j, rest), P.c_of(j, i).value, ring)
+        _add_scaled(acc, _var_times_terms(P, j, out), c, ring)
         for k in range(P.n):
             a = P._a.get((j, i, k))  # nonzero entries only
             if a is not None:
                 _add_scaled(acc, _var_times_monomial(P, k, gp), a.value, ring)
-        dji = P.d_of(j, i)
         if dji:
             _add_scaled(acc, ((gp, ring._one()),), dji.value, ring)
         out = tuple(acc.items())
-    cache[key] = out
+        cache[(i, head + (e,) + tail)] = out
     return out
 
 

@@ -236,6 +236,8 @@ def _read_json(path: Path):
             return json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: {e}") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

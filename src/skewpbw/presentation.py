@@ -44,6 +44,7 @@ from .words import FreeElem, Scalar, Var
 
 POSITIONAL_RE = re.compile(r"^x([0-9]+)$")
 MAX_SAMPLES = 1024  # condition 1's F_p kernel draws per variable: a cap on check_all's work
+MAX_VARS = 1000  # variables per presentation: a cap on the O(n^2) relation tables
 
 
 class PresentationError(ValueError):
@@ -105,6 +106,10 @@ class Presentation:
     ):
         self.ring = ring
         self.var_names = tuple(var_names)
+        if len(self.var_names) > MAX_VARS:
+            raise PresentationError(
+                f"{len(self.var_names)} variables exceed the cap of {MAX_VARS}"
+            )
         _check_var_names(self.var_names, ring)
         n = len(self.var_names)
 

@@ -121,13 +121,7 @@ def _straighten(w: Word, cache: dict, expand, leaf) -> tuple:
     return cache[w]
 
 
-def reduce_p(
-    w: Word,
-    P,
-    *,
-    max_len: int = DEFAULT_MAX_WORD_LEN,
-    check_descent: bool = False,
-) -> FreeElem:
+def reduce_p(w: Word, P, *, check_descent: bool = False) -> FreeElem:
     """Straighten one word into an integer combination of standard words.
 
     ``check_descent`` re-verifies the termination measure on every expansion
@@ -135,8 +129,8 @@ def reduce_p(
     the shared memo, each distinct word is checked once.
     """
     w = tuple(w)
-    if len(w) > max_len:
-        raise WordLengthError(f"word of length {len(w)} exceeds cap {max_len}")
+    if len(w) > DEFAULT_MAX_WORD_LEN:
+        raise WordLengthError(f"word of length {len(w)} exceeds cap {DEFAULT_MAX_WORD_LEN}")
     _check_letters(w, P)
 
     def expand(cur):
@@ -153,17 +147,11 @@ def reduce_p(
     return FreeElem(dict(_straighten(w, P._reduce_cache, expand, lambda cur: ((cur, 1),))))
 
 
-def reduce_elem(
-    e: FreeElem,
-    P,
-    *,
-    max_len: int = DEFAULT_MAX_WORD_LEN,
-    check_descent: bool = False,
-) -> FreeElem:
+def reduce_elem(e: FreeElem, P, *, check_descent: bool = False) -> FreeElem:
     """Linear extension of the straightening map."""
     out = FreeElem.zero()
     for w, m in e:
-        out = out + reduce_p(w, P, max_len=max_len, check_descent=check_descent).scale(m)
+        out = out + reduce_p(w, P, check_descent=check_descent).scale(m)
     return out
 
 
@@ -281,8 +269,8 @@ def normalize_h(
     return Poly(P, terms)
 
 
-def h_word(w: Word, P, **kw) -> Poly:
-    return normalize_h(FreeElem.from_word(tuple(w)), P, **kw)
+def h_word(w: Word, P) -> Poly:
+    return normalize_h(FreeElem.from_word(tuple(w)), P)
 
 
 def star_oracle(f: Poly, g: Poly, *, max_len: int = 64) -> Poly:

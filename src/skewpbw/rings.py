@@ -17,10 +17,15 @@ Tower depth is capped at one Laurent layer under one polynomial layer, which
 covers mixed ground rings like Q[q^-1, q][t].  Zero coefficients are never
 stored, so the zero element of the structured kinds is the empty tuple.
 
-Ring endomorphisms (RingMap) and twisted derivations (SigmaDerivation) are
-given by generator images and extended structurally.  The endomorphism and
-twisted-Leibniz laws therefore hold by construction, and the existence
-checker accepts these two types and no others.
+Maps fixed by generator images have one evaluator, RingMap.apply, which
+extends the images additively and multiplicatively (with a bounded memo of
+image powers).  The twists are RingMaps of a ring into itself, and the
+coefficient map of a homomorphism seed is a RingMap into the target's ring.
+A twisted derivation (SigmaDerivation) d is the corner entry of the RingMap
+r |-> [[twist(r), d(r)], [0, r]] into upper-triangular matrices, which is
+multiplicative exactly when d obeys the twisted Leibniz rule.  The
+endomorphism and twisted-Leibniz laws therefore hold by construction, and
+the existence checker accepts these two types and no others.
 """
 
 from __future__ import annotations
@@ -222,6 +227,13 @@ class CoeffRing:
 
     def _add(self, a, b):
         raise NotImplementedError
+
+    def _sum(self, values):
+        """Raw value of the sum of an iterable of raw values."""
+        out = self._zero()
+        for v in values:
+            out = self._add(out, v)
+        return out
 
     def _neg(self, a):
         raise NotImplementedError
@@ -485,6 +497,14 @@ class _TermRing(CoeffRing):
             _merge(d, e, c, self.base)
         return self._canon(d)
 
+    def _sum(self, values):
+        # one term dict for all summands, sorted once
+        d: dict = {}
+        for v in values:
+            for e, c in v:
+                _merge(d, e, c, self.base)
+        return self._canon(d)
+
     def _neg(self, a):
         return tuple((e, self.base._neg(c)) for e, c in a)
 
@@ -707,42 +727,67 @@ def _raw_pow(ring: CoeffRing, v, e: int):
     return out
 
 
-def _rebuild_from_products(ring: CoeffRing, target: CoeffRing, value, products):
-    """Raw value in ``target`` of the sum, over the canonical decomposition
-    of ``value`` in ``ring`` into summands s * g1^e1 ... gm^em (prime scalar
-    times generator powers), of s times the product of each factor sequence
-    that ``products(((g1, e1), ..., (gm, em)))`` yields.
+@dataclass(frozen=True, slots=True)
+class _Triangular(CoeffRing):
+    """Upper-triangular matrices [[a, b], [0, c]] over ``base``, as raw
+    values (a, b, c), with just what RingMap needs to map into them.  The
+    map of a twisted derivation lands here (see SigmaDerivation)."""
 
-    The factors are raw values of ``target``: for a ring map, one sequence of
-    generator-image powers; for a twisted derivation, one sequence per
-    twisted Leibniz summand.  When ``target`` is a term ring, every product
-    is merged into one term dict and sorted once at the end."""
-    mul = target._mul
-    term_ring = isinstance(target, _TermRing)
-    terms: dict = {}
-    out = target._zero()
-    for s, powers in ring._terms_as_products(value):
-        scalar = target._embed_scalar(s)
-        for factors in products(powers):
-            p = None
-            for f in factors:
-                p = f if p is None else mul(p, f)
-            p = scalar if p is None else mul(p, scalar)
-            if term_ring:
-                for key, c in p:
-                    _merge(terms, key, c, target.base)
-            else:
-                out = target._add(out, p)
-    return target._canon(terms) if term_ring else out
+    base: CoeffRing
+
+    def _one(self):
+        one = self.base._one()
+        return (one, self.base._zero(), one)
+
+    def _embed_scalar(self, s):
+        v = self.base._embed_scalar(s)
+        return (v, self.base._zero(), v)
+
+    def _mul(self, x, y):
+        mul = self.base._mul
+        return (mul(x[0], y[0]), self.base._add(mul(x[0], y[1]), mul(x[1], y[2])), mul(x[2], y[2]))
+
+    def _is_unit(self, x):
+        return self.base._is_unit(x[0]) and self.base._is_unit(x[2])
+
+    def _inverse(self, x):
+        a, c = self.base._inverse(x[0]), self.base._inverse(x[2])
+        mul = self.base._mul
+        return (a, self.base._neg(mul(mul(a, x[1]), c)), c)
+
+    def _sum(self, values):
+        return tuple(map(self.base._sum, zip(*values))) or (self.base._zero(),) * 3
+
+    def describe(self):
+        return f"upper-triangular 2x2 matrices over {self.base.describe()}"
+
+
+def _generator_images(ring: CoeffRing, target: CoeffRing, images: Mapping, default, what: str):
+    """(generator, image) for every generator of ``ring`` in order, a
+    missing image being default(generator); each image must lie in
+    ``target``."""
+    names = ring.generator_names()
+    unknown = set(images) - set(names)
+    if unknown:
+        raise ValueError(f"unknown generators in {what}: {sorted(unknown)}")
+    full = tuple((g, images[g] if g in images else default(g)) for g in names)
+    if any(img.ring != target for _, img in full):
+        raise RingMismatchError(f"a {what} image lies in a different ring")
+    return full
 
 
 @dataclass(frozen=True, slots=True)
 class RingMap:
-    """A ring endomorphism given by generator images.
+    """A ring homomorphism from ``ring`` into ``target`` given by generator
+    images: the one evaluator of maps fixed by where generators go.  The
+    twists are RingMaps of a ring into itself, a homomorphism seed's
+    coefficient map is one into the target's coefficients, and a twisted
+    derivation is evaluated as a corner of one into triangular matrices.
 
-    Missing generators default to themselves.  Images of Laurent generators
-    must be units, otherwise the extension is not defined on negative powers.
-    Generator-free rings (Q, F_p) admit only the identity, which is forced.
+    A missing image is the generator itself, which must then lie in the
+    target.  Images of Laurent generators must be units, otherwise the
+    extension is not defined on negative powers.  Generator-free rings
+    (Q, F_p) admit only the canonical map, which is forced.
 
     ``_ladder`` memoises raw image powers image(g)**(sign * 2**k), at most
     one per generator, sign and bit; it takes no part in equality, hashing
@@ -751,39 +796,31 @@ class RingMap:
 
     ring: CoeffRing
     images: tuple[tuple[str, CoeffElem], ...]
+    target: CoeffRing
     _identity: bool = field(compare=False, default=False)
     _ladder: dict = field(compare=False, repr=False, default_factory=dict)
 
     @classmethod
     def identity(cls, ring: CoeffRing) -> "RingMap":
         images = tuple((g, ring.generator(g)) for g in ring.generator_names())
-        return cls(ring, images, True)
+        return cls(ring, images, ring, True)
 
     @classmethod
-    def from_images(cls, ring: CoeffRing, images: Mapping[str, CoeffElem]) -> "RingMap":
-        names = ring.generator_names()
-        unknown = set(images) - set(names)
-        if unknown:
-            raise ValueError(f"unknown generators in map: {sorted(unknown)}")
-        full = []
-        identity = True
-        for g in names:
-            img = images.get(g)
-            gen = ring.generator(g)
-            if img is None:
-                img = gen
-            elif img.ring != ring:
-                raise RingMismatchError("generator image lies in a different ring")
-            if img != gen:
-                identity = False
-            full.append((g, img))
+    def from_images(
+        cls, ring: CoeffRing, images: Mapping[str, CoeffElem], target: CoeffRing | None = None
+    ) -> "RingMap":
+        """The map with the given generator images, into ``target`` (by
+        default ``ring`` itself)."""
+        target = ring if target is None else target
+        full = _generator_images(ring, target, images, ring.generator, "map")
         for g in ring.inverted_generator_names():
             img = dict(full)[g]
             if not img.is_unit():
                 raise NotAUnitError(
                     f"image of invertible generator {g} must be a unit, got {img}"
                 )
-        return cls(ring, tuple(full), identity)
+        identity = target == ring and all(img == ring.generator(g) for g, img in full)
+        return cls(ring, full, target, identity)
 
     def image(self, name: str) -> CoeffElem:
         for g, img in self.images:
@@ -798,7 +835,7 @@ class RingMap:
         """Raw value of image(name)**e: the product of the ladder entries
         image(name)**(sign * 2**k) over the set bits k of |e|, each entry
         squared from the one below it the first time it is needed."""
-        ring = self.ring
+        target = self.target
         ladder = self._ladder
         sign = -1 if e < 0 else 1
         e = abs(e)
@@ -809,59 +846,72 @@ class RingMap:
             nxt = ladder.get(key)
             if nxt is None:
                 if k:
-                    nxt = ring._mul(rung, rung)
+                    nxt = target._mul(rung, rung)
                 else:
                     nxt = self.image(name).value
                     if sign < 0:
-                        nxt = ring._inverse(nxt)
+                        nxt = target._inverse(nxt)
                 ladder[key] = nxt
             rung = nxt
             if e & 1:
-                out = rung if out is None else ring._mul(out, rung)
+                out = rung if out is None else target._mul(out, rung)
             e >>= 1
             k += 1
-        return ring._one() if out is None else out
+        return target._one() if out is None else out
 
     def apply(self, r: CoeffElem) -> CoeffElem:
+        """The image of r: each summand s * g1^e1 ... gm^em of its canonical
+        decomposition (prime scalar times generator powers) goes to s times
+        image(g1)^e1 ... image(gm)^em, and the images are summed in the
+        target."""
         ring = self.ring
         if r.ring is not ring and r.ring != ring:
             raise RingMismatchError("element belongs to a different ring")
         if self._identity:
             return r
-        power = self._power
-        value = _rebuild_from_products(
-            ring, ring, r.value, lambda powers: ([power(g, e) for g, e in powers],)
-        )
-        return CoeffElem(ring, value)
+        target = self.target
+        mul, embed, power = target._mul, target._embed_scalar, self._power
+
+        def images():
+            for s, powers in ring._terms_as_products(r.value):
+                p = None
+                for g, e in powers:
+                    f = power(g, e)
+                    p = f if p is None else mul(p, f)
+                yield embed(s) if p is None else mul(p, embed(s))
+
+        return CoeffElem(target, target._sum(images()))
 
 
 @dataclass(frozen=True, slots=True)
 class SigmaDerivation:
     """A twisted derivation: additive, with d(ab) = twist(a) d(b) + d(a) b.
 
-    Determined by its values on generators; d vanishes on the prime field,
-    and on Laurent generators the value at the inverse is forced by d(1) = 0.
-    Because the rings here are commutative, generator images must satisfy
-    the pairwise compatibility
+    Determined by its values on generators; d vanishes on the prime field.
+    r |-> M(r) = [[twist(r), d(r)], [0, r]] is a ring map into triangular
+    matrices exactly when d is a twist-derivation, so d is evaluated as the
+    corner entry of the RingMap ``_matrix`` with M(g) = [[twist(g), d(g)],
+    [0, g]]; on Laurent generators this gives d(g^-1) = -twist(g)^-1 d(g)
+    g^-1.  Because the rings here are commutative, the generator matrices
+    must commute, which reads
 
         twist(g) d(h) + d(g) h  ==  twist(h) d(g) + d(h) g,
 
     otherwise d(gh) and d(hg) would disagree; the constructor rejects
     incompatible data, and with it in place the twisted Leibniz law holds by
-    construction on the whole ring.
+    construction on the whole ring.  The zero derivation has no matrix map.
     """
 
     ring: CoeffRing
     twist: RingMap
     images: tuple[tuple[str, CoeffElem], ...]
-    _zero: bool = field(compare=False, default=False)
+    _matrix: RingMap | None = field(compare=False, repr=False, default=None)
 
     @classmethod
     def zero(cls, ring: CoeffRing, twist: RingMap | None = None) -> "SigmaDerivation":
         if twist is None:
             twist = RingMap.identity(ring)
-        images = tuple((g, ring.zero()) for g in ring.generator_names())
-        return cls(ring, twist, images, True)
+        return cls(ring, twist, tuple((g, ring.zero()) for g in ring.generator_names()))
 
     @classmethod
     def from_images(
@@ -870,96 +920,36 @@ class SigmaDerivation:
         twist: RingMap,
         images: Mapping[str, CoeffElem],
     ) -> "SigmaDerivation":
-        if twist.ring != ring:
+        if twist.ring != ring or twist.target != ring:
             raise RingMismatchError("twist acts on a different ring")
-        names = ring.generator_names()
-        unknown = set(images) - set(names)
-        if unknown:
-            raise ValueError(f"unknown generators in derivation: {sorted(unknown)}")
-        full = []
-        all_zero = True
-        for g in names:
-            img = images.get(g, ring.zero())
-            if img.ring != ring:
-                raise RingMismatchError("derivation image lies in a different ring")
-            if img:
-                all_zero = False
-            full.append((g, img))
-        for idx, (g, dg) in enumerate(full):
-            for h, dh in full[idx + 1 :]:
-                ge = ring.generator(g)
-                he = ring.generator(h)
-                lhs = twist.image(g) * dh + dg * he
-                rhs = twist.image(h) * dg + dh * ge
-                if lhs != rhs:
+        full = _generator_images(ring, ring, images, lambda g: ring.zero(), "derivation")
+        if not any(img for _, img in full):
+            return cls(ring, twist, full)
+        tri = _Triangular(ring)
+        matrices = [
+            (g, tri.elem((twist.image(g).value, dg.value, ring.generator(g).value)))
+            for g, dg in full
+        ]
+        for idx, (g, mg) in enumerate(matrices):
+            for h, mh in matrices[idx + 1 :]:
+                if mg * mh != mh * mg:
                     raise ValueError(
                         f"derivation images on {g!r} and {h!r} are incompatible "
                         "with the twist (d(gh) and d(hg) would disagree)"
                     )
-        return cls(ring, twist, tuple(full), all_zero)
+        return cls(ring, twist, full, RingMap.from_images(ring, dict(matrices), tri))
 
-    def image(self, name: str) -> CoeffElem:
-        for g, img in self.images:
-            if g == name:
-                return img
-        raise KeyError(name)
+    image = RingMap.image
 
     def is_zero_map(self) -> bool:
-        return self._zero
-
-    def _d_power(self, name: str, e: int):
-        """Raw d(g^e) for the generator g = ``name``, by square and multiply
-        on the twisted Leibniz rule d(g^(a+b)) = twist(g)^a d(g^b) + d(g^a) g^b:
-        with n running over the leading bits of e,
-
-            d(g^2n)    = d(g^n) (twist(g)^n + g^n)
-            d(g^(n+1)) = twist(g)^n d(g) + d(g^n) g,
-
-        so the work is O(log e) ring products.  A negative e runs the same
-        ladder on g^-1, with twist(g^-1) = twist(g)^-1 and d(g^-1) =
-        -twist(g)^-1 d(g) g^-1, which needs twist(g) invertible."""
-        ring = self.ring
-        if e == 0:
-            return ring._zero()
-        g = ring.generator(name).value
-        dg = self.image(name).value
-        sg = self.twist.image(name).value
-        if e < 0:
-            g = ring._inverse(g)
-            sg = ring._inverse(sg)
-            dg = ring._neg(ring._mul(ring._mul(sg, dg), g))
-            e = -e
-        s, p, d = sg, g, dg  # twist(g)^n, g^n, d(g^n) at n = 1
-        for bit in bin(e)[3:]:
-            d = ring._mul(d, ring._add(s, p))
-            s = ring._mul(s, s)
-            p = ring._mul(p, p)
-            if bit == "1":
-                d = ring._add(ring._mul(s, dg), ring._mul(d, g))
-                s = ring._mul(s, sg)
-                p = ring._mul(p, g)
-        return d
+        return self._matrix is None
 
     def apply(self, r: CoeffElem) -> CoeffElem:
-        ring = self.ring
-        if r.ring is not ring and r.ring != ring:
-            raise RingMismatchError("element belongs to a different ring")
-        if self._zero:
-            return ring.zero()
-        twist = self.twist._power
-
-        def summands(powers):
-            # d(F1 ... Fm) = sum_k twist(F1 ... F(k-1)) d(Fk) F(k+1) ... Fm
-            for k, (name, e) in enumerate(powers):
-                dk = self._d_power(name, e)
-                if not ring._is_zero(dk):
-                    yield (
-                        [twist(g, x) for g, x in powers[:k]]
-                        + [dk]
-                        + [_raw_pow(ring, ring.generator(g).value, x) for g, x in powers[k + 1 :]]
-                    )
-
-        return CoeffElem(ring, _rebuild_from_products(ring, ring, r.value, summands))
+        if self._matrix is None:
+            if r.ring is not self.ring and r.ring != self.ring:
+                raise RingMismatchError("element belongs to a different ring")
+            return self.ring.zero()
+        return CoeffElem(self.ring, self._matrix.apply(r).value[1])
 
 
 # ---------------------------------------------------------------------------

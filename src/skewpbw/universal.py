@@ -25,14 +25,7 @@ from dataclasses import dataclass, field
 
 from .algebra import Poly, star
 from .presentation import Presentation, decisive_coefficients
-from .rings import (
-    CoeffElem,
-    NotAUnitError,
-    RingMismatchError,
-    _raw_pow,
-    _rebuild_from_products,
-    _rows_independent,
-)
+from .rings import CoeffElem, NotAUnitError, RingMap, RingMismatchError, _rows_independent
 
 
 class HomSpecError(ValueError):
@@ -69,30 +62,21 @@ class HomSpec:
         for yi in self.y:
             if yi.pres.fingerprint != self.target.fingerprint:
                 raise HomSpecError("variable image is not a target polynomial")
-        self._ypow_cache: dict = {}
-
-    def phi_coeff(self, name: str) -> CoeffElem:
-        return self.phi[name].constant_coeff()
-
-    def map_coeff(self, r: CoeffElem) -> CoeffElem:
-        """phi on an arbitrary source coefficient, by evaluating its canonical
-        decomposition inside the target coefficient ring."""
-        src = self.source.ring
-        tgt = self.target.ring
-        if r.ring != src:
-            raise RingMismatchError("map_coeff expects a source coefficient")
+        src, tgt = self.source.ring, self.target.ring
         if src.prime_ring() != tgt.prime_ring():
             raise HomSpecError(
                 f"bottom fields differ: {src.prime_ring().describe()} vs "
                 f"{tgt.prime_ring().describe()}"
             )
-        value = _rebuild_from_products(
-            src,
-            tgt,
-            r.value,
-            lambda powers: ([_raw_pow(tgt, self.phi_coeff(g).value, e) for g, e in powers],),
-        )
-        return CoeffElem(tgt, value)
+        images = {g: img.constant_coeff() for g, img in self.phi.items()}
+        self._phi_map = RingMap.from_images(src, images, tgt)
+        self._ypow_cache: dict = {}
+
+    def map_coeff(self, r: CoeffElem) -> CoeffElem:
+        """phi on an arbitrary source coefficient."""
+        if r.ring != self.source.ring:
+            raise RingMismatchError("map_coeff expects a source coefficient")
+        return self._phi_map.apply(r)
 
     def y_power(self, alpha: tuple[int, ...]) -> Poly:
         """y_1^a1 * ... * y_n^an, multiplied left to right in the target,

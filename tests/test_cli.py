@@ -9,8 +9,8 @@ from skewpbw import cli
 from skewpbw.algebra import ExponentCapError, Poly
 from skewpbw.jsonio import presentation_to_json
 from skewpbw.catalog import StructureConstants, get, lie_presentation
-from skewpbw.presentation import Presentation
-from skewpbw.rings import QQ, LaurentRing, PolyRing, RingMap, SigmaDerivation
+from skewpbw.presentation import MAX_VARS, Presentation
+from skewpbw.rings import QQ, LaurentRing, PolyRing, PrimeField, RingMap, SigmaDerivation
 
 
 def run(capsys, *argv):
@@ -354,6 +354,71 @@ def test_hom_condition_i_failure_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "hom", str(path), "x1")
     assert (code, out) == (2, "")
     assert err.startswith("(i) y1 past r=t: lhs=")
+
+
+def test_hom_seed_errors_are_one_line(capsys, tmp_path):
+    f5 = tmp_path / "f5.json"
+    f5.write_text(json.dumps(presentation_to_json(Presentation(PrimeField(5), ("x",)))))
+    cases = [
+        (
+            {"source": "catalog:quantum_plane", "target": "catalog:quantum_plane",
+             "phi": {"q": "q + 1"}, "y": ["x1", "x2"]},
+            "error: phi(q) must be a unit of the target coefficients\n",
+        ),
+        (
+            {"source": "catalog:u_heisenberg", "target": str(f5), "y": ["x1", "x1", "x1"]},
+            "error: bottom fields differ: Q vs F_5\n",
+        ),
+    ]
+    for spec, message in cases:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run(capsys, "hom", str(path), "--check-only") == (1, "", message)
+        assert run(capsys, "hom", str(path), "x1") == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "name, expr, expected",
+    [
+        # x2 x1^n = x1^n x2 + n x1^(n-1)
+        ("weyl1", "x2*x1^3000", "x1^3000*x2 + 3000*x1^2999"),
+        # x2 x1^n = q^n x1^n x2
+        ("quantum_plane", "x2*x1^3000", "q^3000*x1^3000*x2"),
+        # h e^n = e^n h + 2n e^n
+        ("u_sl2", "x3*x1^2000", "x1^2000*x3 + 4000*x1^2000"),
+        # d a^n = a^n d + (q - q^(1-2n)) b c a^(n-1)
+        ("quantum_matrices2", "d*a^1500", "x1^1500*x2 + (q - q^-2999)*b*c*x1^1499"),
+    ],
+)
+def test_variable_past_a_long_power_does_not_recurse(capsys, name, expr, expected):
+    assert timed_run(capsys, "nf", f"catalog:{name}", expr) == (0, expected + "\n", "")
+
+
+def _nested_ring_file(tmp_path, depth):
+    # built as text: json.dumps would itself recurse this deep
+    ring = '{"kind": "poly", "vars": ["t"], "base": ' * depth + '{"kind": "rationals"}' + "}" * depth
+    path = tmp_path / f"nested{depth}.json"
+    path.write_text('{"ring": ' + ring + ', "vars": ["x"]}')
+    return str(path)
+
+
+def test_deeply_nested_json_is_a_schema_error(capsys, tmp_path):
+    path = _nested_ring_file(tmp_path, 100000)
+    assert timed_run(capsys, "nf", path, "x") == (1, "", f"error: {path}: JSON nested too deeply\n")
+    code, out, err = timed_run(capsys, "nf", _nested_ring_file(tmp_path, 800), "x")
+    assert (code, out) == (1, "")
+    assert err == "error: PolyRing base must be Rationals, a prime field, or a Laurent ring\n"
+
+
+def test_variable_count_is_capped(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    names = [f"v{i}" for i in range(MAX_VARS + 1)]
+    path.write_text(json.dumps({"ring": {"kind": "rationals"}, "vars": names}))
+    message = f"error: {MAX_VARS + 1} variables exceed the cap of {MAX_VARS}\n"
+    assert timed_run(capsys, "nf", str(path), "v1") == (1, "", message)
+    n = MAX_VARS // 2 + 1  # weyl(n) has 2n variables
+    message = f"error: {2 * n} variables exceed the cap of {MAX_VARS}\n"
+    assert timed_run(capsys, "nf", f"catalog:weyl{n}", "t1") == (1, "", message)
 
 
 def test_non_injective_twists_exit_2_with_witness(capsys, tmp_path):

@@ -328,10 +328,9 @@ def _power(x, e):
 
 
 def _sigma_oracle(sigma, r):
-    ring = r.ring
-    out = ring.zero()
-    for s, powers in _summands(ring, r.value):
-        term = ring.from_fraction(Fraction(s))
+    out = sigma.target.zero()
+    for s, powers in _summands(r.ring, r.value):
+        term = sigma.target.from_fraction(Fraction(s))
         for g, e in powers.items():
             term = term * _power(sigma.image(g), e)
         out = out + term
@@ -433,19 +432,39 @@ def test_derivation_of_generator_powers_matches_linear_sum():
 
 
 def test_power_memo_is_bounded_and_invisible():
+    """The ladder memo of a twist, of a coefficient map into another ring and
+    of a derivation's triangular-matrix map stays bounded and takes no part
+    in equality, hashing or printing."""
     qb, b, c = QM2.generator("q"), QM2.generator("b"), QM2.generator("c")
+    mq, mt = MIXED.generator("q"), MIXED.generator("t")
     images = {"q": qb**-1, "b": qb * c + b, "c": b * c}
-    sigma = RingMap.from_images(QM2, images)
-    fresh = RingMap.from_images(QM2, images)
-    for e in (37, -37, 5, -2, 1):
-        r = qb**e * b ** abs(e) * c ** (abs(e) % 7)
-        assert sigma.apply(r) == _sigma_oracle(sigma, r)
-    # one entry per generator, sign and bit: 37 < 2^6
-    assert sigma._ladder
-    for g, sign, k in sigma._ladder:
-        assert g in QM2.generator_names() and sign in (1, -1) and 0 <= k < 6
-        assert sign == 1 or g == "q"
-    assert sigma == fresh and hash(sigma) == hash(fresh) and repr(sigma) == repr(fresh)
+    phi_images = {"q": 2 * mq**-1, "b": mq * mt + 1, "c": mt * mt}
+    derivation = {g: (qb - 1) * (img - QM2.generator(g)) for g, img in images.items()}
+
+    def sigma():
+        return RingMap.from_images(QM2, images)
+
+    cases = [  # (build the map, the RingMap holding its memo, independent value at r)
+        (sigma, lambda m: m, _sigma_oracle),
+        (lambda: RingMap.from_images(QM2, phi_images, MIXED), lambda m: m, _sigma_oracle),
+        (
+            lambda: SigmaDerivation.from_images(QM2, sigma(), derivation),
+            lambda d: d._matrix,
+            _delta_oracle,
+        ),
+    ]
+    for build, memo_holder, oracle in cases:
+        m, fresh = build(), build()
+        for e in (37, -37, 5, -2, 1):
+            r = qb**e * b ** abs(e) * c ** (abs(e) % 7)
+            assert m.apply(r) == oracle(m, r)
+        # one entry per generator, sign and bit: 37 < 2^6
+        ladder = memo_holder(m)._ladder
+        assert ladder
+        for g, sign, k in ladder:
+            assert g in QM2.generator_names() and sign in (1, -1) and 0 <= k < 6
+            assert sign == 1 or g == "q"
+        assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
 
 
 def test_equal_coefficients_hash_as_their_raw_value(catalog_entries):
