@@ -11,9 +11,12 @@ relation to the leftmost out-of-order generator, and variables pass
 coefficients by the twist-and-derive rule.  The engine computes on raw ring
 values (see rings.CoeffRing) and wraps coefficients in CoeffElem only at its
 edges; single steps are memoized per presentation, and the memo holds raw
-values too.  Correctness of this path is anchored by the word-level
-normalization oracle (see reduction.star_oracle), which the test suite and
-the multiply command's verify mode run against it.
+values too.  The variable-push memo factors out the last variable's power:
+x^beta x_n^m is already standard, so x_i x^gamma is x_i pushed through the
+prefix of gamma (last slot 0) with every result shifted by gamma_n in the
+last slot, and each prefix is pushed once.  Correctness of this path is
+anchored by the word-level normalization oracle (see reduction.star_oracle),
+which the test suite and the multiply command's verify mode run against it.
 """
 
 from __future__ import annotations
@@ -271,6 +274,19 @@ def _var_times_monomial(P, i: int, gamma: Monomial):
         out = ((_bump(gamma, i), ring._one()),)
         cache[key] = out
         return out
+    m = gamma[-1]
+    if m:
+        # x_i x^gamma = (x_i x^gamma') x_n^m with gamma'_n = 0, and
+        # x^beta x_n^m = x^(beta + m e_n) is standard (docs/exactness.md)
+        last = len(gamma) - 1
+        out = []
+        for alpha, v in _var_times_monomial(P, i, gamma[:last] + (0,)):
+            if alpha[last] + m >= EXPONENT_CAP:
+                raise ExponentCapError(f"exponent cap {EXPONENT_CAP} exceeded at slot {last}")
+            out.append((alpha[:last] + (alpha[last] + m,), v))
+        out = tuple(out)
+        cache[key] = out
+        return out
     # x_i x_j = c x_j x_i + sum_k a_k x_k + d  for the stored pair (j, i), so
     # x_i x_j^e x^tail is built from x_i x_j^(e-1) x^tail.  Start from the
     # highest lower power in the memo and climb to gamma_j: the recursion
@@ -286,10 +302,8 @@ def _var_times_monomial(P, i: int, gamma: Monomial):
         gp = head + (e - 1,) + tail
         acc: dict = {}
         _add_scaled(acc, _var_times_terms(P, j, out), c, ring)
-        for k in range(P.n):
-            a = P._a.get((j, i, k))  # nonzero entries only
-            if a is not None:
-                _add_scaled(acc, _var_times_monomial(P, k, gp), a.value, ring)
+        for k, a in P.linear_terms(j, i):
+            _add_scaled(acc, _var_times_monomial(P, k, gp), a.value, ring)
         if dji:
             _add_scaled(acc, ((gp, ring._one()),), dji.value, ring)
         out = tuple(acc.items())

@@ -88,6 +88,7 @@ class Presentation:
         "_c",
         "_d",
         "_a",
+        "_lin",
         "_fingerprint",
         "_reduce_cache",
         "_vtm_cache",
@@ -153,6 +154,10 @@ class Presentation:
             v = self._elem(val)
             if v:
                 self._a[(i, j, k)] = v
+        lin: dict = {}
+        for (i, j, k), v in sorted(self._a.items()):
+            lin.setdefault((i, j), []).append((k, v))
+        self._lin = {pair: tuple(terms) for pair, terms in lin.items()}
 
         self._fingerprint = None
         self._reduce_cache = {}
@@ -189,6 +194,10 @@ class Presentation:
 
     def a_vector(self, i: int, j: int) -> tuple[CoeffElem, ...]:
         return tuple(self.a_of(i, j, k) for k in range(self.n))
+
+    def linear_terms(self, i: int, j: int) -> tuple[tuple[int, CoeffElem], ...]:
+        """The nonzero (k, a_ijk) of the pair, in ascending k."""
+        return self._lin.get((i, j), ())
 
     @property
     def fingerprint(self) -> str:

@@ -80,10 +80,8 @@ def rewrite_step(w: Word, P) -> list[Word] | None:
     cij = P.c_of(i, j)
     if cij:
         out.append(head + (Scalar(cij), Var(i), Var(j)) + tail)
-    for k in range(P.n):
-        a = P.a_of(i, j, k)
-        if a:
-            out.append(head + (Scalar(a), Var(k)) + tail)
+    for k, a in P.linear_terms(i, j):
+        out.append(head + (Scalar(a), Var(k)) + tail)
     dij = P.d_of(i, j)
     if dij:
         out.append(head + (Scalar(dij),) + tail)

@@ -150,10 +150,8 @@ def check_hom_conditions(spec: HomSpec, samples: int = 16, seed: int = 0) -> Hom
         for j in range(i + 1, src.n):
             lhs = star(spec.y[j], spec.y[i])
             rhs = spec.map_coeff(src.c_of(i, j)) * star(spec.y[i], spec.y[j])
-            for k in range(src.n):
-                a = src.a_of(i, j, k)
-                if a:
-                    rhs = rhs + spec.map_coeff(a) * spec.y[k]
+            for k, a in src.linear_terms(i, j):
+                rhs = rhs + spec.map_coeff(a) * spec.y[k]
             dij = src.d_of(i, j)
             if dij:
                 rhs = rhs + Poly.const(spec.target, spec.map_coeff(dij))

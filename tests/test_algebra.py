@@ -16,7 +16,7 @@ from skewpbw.algebra import (
     star,
 )
 from skewpbw.reduction import star_oracle
-from skewpbw.rings import LaurentRing, PolyRing, QQ, RingMap
+from skewpbw.rings import LaurentRing, PolyRing, QQ, RingMap, SigmaDerivation
 from skewpbw.presentation import Presentation
 from skewpbw.rng import Stream
 
@@ -294,7 +294,7 @@ def test_quantum_matrices_multiterm_coefficients_match_oracle():
     assert covered >= 3
 
 
-def test_exponent_cap(weyl1):
+def test_exponent_cap(weyl1, quantum_plane):
     from skewpbw.algebra import EXPONENT_CAP, ExponentCapError
 
     with pytest.raises(ExponentCapError):
@@ -303,3 +303,65 @@ def test_exponent_cap(weyl1):
     f = Poly.monomial(weyl1, (EXPONENT_CAP - 1, 0))
     with pytest.raises(ExponentCapError):
         star(Poly.variable(weyl1, 0), f)
+    # x2 x1 x2^(cap-1) = (x2 x1) x2^(cap-1) lands on x2^cap
+    for P in (weyl1, quantum_plane):
+        g = Poly.monomial(P, (1, EXPONENT_CAP - 1))
+        with pytest.raises(ExponentCapError):
+            star(Poly.variable(P, 1), g)
+
+
+def _ore(ring, twist_images, derivation_images):
+    sigma = RingMap.from_images(ring, twist_images)
+    delta = SigmaDerivation.from_images(ring, sigma, derivation_images)
+    return Presentation(ring, ("u",), sigma=[sigma], delta=[delta])
+
+
+def _twisted_derivation():
+    # Q[q^+-1][t][u; sigma(t) = q t, delta(t) = 1]
+    ring = PolyRing(LaurentRing(QQ, "q"), ("t",))
+    q, t = ring.generator("q"), ring.generator("t")
+    return _ore(ring, {"t": q * t}, {"t": ring.one()})
+
+
+def _d_dt():
+    # Q[t][u; d/dt]
+    ring = PolyRing(QQ, ("t",))
+    return _ore(ring, {}, {"t": ring.one()})
+
+
+def _laurent_twist():
+    # Q[q^+-1][u; sigma(q) = 2q, delta(q) = q]
+    ring = LaurentRing(QQ, "q")
+    q = ring.generator("q")
+    return _ore(ring, {"q": 2 * q}, {"q": q})
+
+
+_FRESH = {name: (lambda name=name: catalog.get(name)) for name, _ in catalog.all_presentations()}
+_FRESH.update(twisted_derivation=_twisted_derivation, d_dt=_d_dt, laurent_twist=_laurent_twist)
+
+
+def _times_last_power(g: Poly, e: int) -> Poly:
+    """g x_n^e, written down directly: x^beta x_n^e is standard."""
+    return Poly(g.pres, {a[:-1] + (a[-1] + e,): c for a, c in g.terms.items()})
+
+
+@pytest.mark.parametrize("name", sorted(_FRESH))
+def test_last_variable_powers_match_oracle_cold_and_warm(name):
+    # the variable push factors x_n^e out of the right factor and memoizes
+    # the shifted result under the full key: a fresh memo and one warmed by
+    # other products must both agree with the word-level route
+    cold, warm = _FRESH[name](), _FRESH[name]()
+    stream = Stream(89).split(name)
+    cases = []
+    for e in (1, 2, 3):
+        for _ in range(2):
+            f = random_poly(cold, stream, 3, 3)
+            g = _times_last_power(random_poly(cold, stream, 2, 2), e)
+            cases.append((f, g, star_oracle(f, g)))
+    for _ in range(4):
+        star(random_poly(warm, stream, 2, 2), random_poly(warm, stream, 4, 3))
+    for f, g, expected in cases:
+        assert star(f, g) == expected
+    for f, g, expected in reversed(cases):
+        got = star(Poly(warm, f.terms), Poly(warm, g.terms))
+        assert got.terms == expected.terms

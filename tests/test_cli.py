@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, determinism, output channels."""
 
 import json
+import math
 import time
 
 import pytest
@@ -392,6 +393,30 @@ def test_hom_seed_errors_are_one_line(capsys, tmp_path):
 )
 def test_variable_past_a_long_power_does_not_recurse(capsys, name, expr, expected):
     assert timed_run(capsys, "nf", f"catalog:{name}", expr) == (0, expected + "\n", "")
+
+
+def test_power_of_the_last_variable_is_pushed_once(capsys):
+    # x2^a x1^b = q^(ab) x1^b x2^a: x2 meets each x1^c once, not once per
+    # power of x2 already to its right
+    code, out, err = timed_run(capsys, "mul", "catalog:quantum_plane", "x2^1000", "x1^1000")
+    assert (code, out, err) == (0, "q^1000000*x1^1000*x2^1000\n", "")
+
+
+def test_weyl_power_product_closed_form(capsys):
+    # x2^k x1^k = sum_t t! C(k,t)^2 x1^(k-t) x2^(k-t)  when [x2, x1] = 1
+    k = 300
+    W = get("weyl1")
+    expected = Poly(
+        W,
+        {(k - t, k - t): W.ring.from_int(math.factorial(t) * math.comb(k, t) ** 2) for t in range(k + 1)},
+    )
+    code, out, err = timed_run(capsys, "mul", "catalog:weyl1", f"x2^{k}", f"x1^{k}")
+    assert (code, out, err) == (0, f"{expected}\n", "")
+
+
+def test_last_variable_shift_respects_the_exponent_cap(capsys):
+    code, out, err = run(capsys, "mul", "catalog:weyl1", "x2", "x1*x2^65535")
+    assert (code, out, err) == (1, "", "error: exponent cap 65536 exceeded at slot 1\n")
 
 
 def _nested_ring_file(tmp_path, depth):
