@@ -126,7 +126,7 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def _same(self, other: "Poly") -> None:
-        if self.pres is not other.pres and self.pres.fingerprint != other.pres.fingerprint:
+        if self.pres is not other.pres and self.pres != other.pres:
             raise ValueError("polynomials over different presentations")
 
     def __add__(self, other):
@@ -197,13 +197,10 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (
-            self.pres.fingerprint == other.pres.fingerprint
-            and self.terms == other.terms
-        )
+        return (self.pres is other.pres or self.pres == other.pres) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.pres.fingerprint, frozenset(self.terms.items())))
+        return hash((self.pres, frozenset(self.terms.items())))
 
     # -- text ----------------------------------------------------------------
 

@@ -44,7 +44,7 @@ from .words import FreeElem, Scalar, Var
 
 POSITIONAL_RE = re.compile(r"^x([0-9]+)$")
 MAX_SAMPLES = 1024  # condition 1's F_p kernel draws per variable: a cap on check_all's work
-MAX_VARS = 1000  # variables per presentation: a cap on the O(n^2) relation tables
+MAX_VARS = 1000  # variables per presentation: bounds check's O(n^3) triples and dense a lists
 
 
 class PresentationError(ValueError):
@@ -85,9 +85,10 @@ class Presentation:
         "var_names",
         "sigma",
         "delta",
+        "_one",
+        "_zero",
         "_c",
         "_d",
-        "_a",
         "_lin",
         "_fingerprint",
         "_reduce_cache",
@@ -134,30 +135,29 @@ class Presentation:
             if dv.twist != self.sigma[i]:
                 raise PresentationError(f"derivation {i} is not twisted by twist {i}")
 
-        one = ring.one()
-        zero = ring.zero()
+        # only the parameters that differ from the defaults c = 1, a = d = 0
+        self._one = ring.one()
+        self._zero = ring.zero()
         self._c = {}
         self._d = {}
-        self._a = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                self._c[(i, j)] = one
-                self._d[(i, j)] = zero
         for key, val in dict(c or {}).items():
-            self._c[self._pair(key)] = self._elem(val)
+            pair, v = self._pair(key), self._elem(val)
+            if v != self._one:
+                self._c[pair] = v
         for key, val in dict(d or {}).items():
-            self._d[self._pair(key)] = self._elem(val)
+            pair, v = self._pair(key), self._elem(val)
+            if v:
+                self._d[pair] = v
+        lin: dict = {}
         for key, val in dict(a or {}).items():
             i, j, k = key
             if not (0 <= i < j < n and 0 <= k < n):
                 raise PresentationError(f"bad linear-term index {key}")
             v = self._elem(val)
             if v:
-                self._a[(i, j, k)] = v
-        lin: dict = {}
-        for (i, j, k), v in sorted(self._a.items()):
-            lin.setdefault((i, j), []).append((k, v))
-        self._lin = {pair: tuple(terms) for pair, terms in lin.items()}
+                lin.setdefault((i, j), []).append((k, v))
+        # each k occurs once per pair, so sorting never compares two values
+        self._lin = {pair: tuple(sorted(terms)) for pair, terms in lin.items()}
 
         self._fingerprint = None
         self._reduce_cache = {}
@@ -184,16 +184,16 @@ class Presentation:
         return len(self.var_names)
 
     def c_of(self, i: int, j: int) -> CoeffElem:
-        return self._c[(i, j)]
+        return self._c.get((i, j), self._one)
 
     def d_of(self, i: int, j: int) -> CoeffElem:
-        return self._d[(i, j)]
-
-    def a_of(self, i: int, j: int, k: int) -> CoeffElem:
-        return self._a.get((i, j, k), self.ring.zero())
+        return self._d.get((i, j), self._zero)
 
     def a_vector(self, i: int, j: int) -> tuple[CoeffElem, ...]:
-        return tuple(self.a_of(i, j, k) for k in range(self.n))
+        row = [self._zero] * self.n
+        for k, a in self.linear_terms(i, j):
+            row[k] = a
+        return tuple(row)
 
     def linear_terms(self, i: int, j: int) -> tuple[tuple[int, CoeffElem], ...]:
         """The nonzero (k, a_ijk) of the pair, in ascending k."""
@@ -201,6 +201,8 @@ class Presentation:
 
     @property
     def fingerprint(self) -> str:
+        """sha256 of a listing of all parameters, for printing only: __eq__
+        compares the stored parameters."""
         if self._fingerprint is None:
             lines = [self.ring.describe(), " ".join(self.var_names)]
             for i in range(self.n):
@@ -216,11 +218,16 @@ class Presentation:
             self._fingerprint = digest
         return self._fingerprint
 
+    def _params(self) -> tuple:
+        return (self.ring, self.var_names, self.sigma, self.delta, self._c, self._d, self._lin)
+
     def __eq__(self, other):
-        return isinstance(other, Presentation) and self.fingerprint == other.fingerprint
+        if not isinstance(other, Presentation):
+            return NotImplemented
+        return self is other or self._params() == other._params()
 
     def __hash__(self):
-        return hash(self.fingerprint)
+        return hash((self.ring, self.var_names))
 
     def __repr__(self):
         return (
@@ -236,7 +243,7 @@ def derived_params(P: Presentation, j: int, i: int):
         raise ValueError("derived_params expects j > i")
     c_ji = P.c_of(i, j).inverse()
     d_ji = -c_ji * P.d_of(i, j)
-    a_ji = tuple(-c_ji * P.a_of(i, j, k) for k in range(P.n))
+    a_ji = tuple(-c_ji * a for a in P.a_vector(i, j))
     return c_ji, d_ji, a_ji
 
 

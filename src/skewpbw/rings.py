@@ -189,7 +189,7 @@ class CoeffRing:
         return self.elem(self._one())
 
     def from_int(self, k: int) -> CoeffElem:
-        return self.elem(self._from_fraction(Fraction(k)))
+        return self.elem(self._from_fraction(k))
 
     def from_fraction(self, q: Fraction) -> CoeffElem:
         return self.elem(self._from_fraction(q))
@@ -222,7 +222,8 @@ class CoeffRing:
     def _one(self):
         raise NotImplementedError
 
-    def _from_fraction(self, q: Fraction):
+    def _from_fraction(self, q):
+        """Raw value of a prime scalar: an int or a Fraction."""
         raise NotImplementedError
 
     def _add(self, a, b):
@@ -266,10 +267,6 @@ class CoeffRing:
         """Decompose a canonical value into (prime scalar, generator powers)
         summands.  The prime scalar is a rational (int or Fraction) or a
         residue int."""
-        raise NotImplementedError
-
-    def _embed_scalar(self, s) -> Any:
-        """Raw value of a prime scalar (int, Fraction or residue int)."""
         raise NotImplementedError
 
     def prime_ring(self) -> "CoeffRing":
@@ -338,9 +335,6 @@ class Rationals(CoeffRing):
         if a != 0:
             yield a, ()
 
-    def _embed_scalar(self, s):
-        return _rational(s)
-
     def describe(self):
         return "Q"
 
@@ -375,6 +369,8 @@ class PrimeField(CoeffRing):
         return 1
 
     def _from_fraction(self, q):
+        if isinstance(q, int):
+            return q % self.p
         den = q.denominator % self.p
         if den == 0:
             raise ZeroDivisionError(f"denominator divisible by {self.p}")
@@ -412,11 +408,6 @@ class PrimeField(CoeffRing):
     def _terms_as_products(self, a):
         if a != 0:
             yield a, ()
-
-    def _embed_scalar(self, s):
-        if isinstance(s, Fraction):
-            return self._from_fraction(s)
-        return s % self.p
 
     def describe(self):
         return f"F_{self.p}"
@@ -585,10 +576,6 @@ class LaurentRing(_TermRing):
             else:
                 yield c, ((self.var, e),)
 
-    def _embed_scalar(self, s):
-        v = self.base._embed_scalar(s)
-        return () if self.base._is_zero(v) else ((0, v),)
-
     def prime_ring(self):
         return self.base
 
@@ -695,11 +682,6 @@ class PolyRing(_TermRing):
             for s, inner in self.base._terms_as_products(c):
                 yield s, inner + powers
 
-    def _embed_scalar(self, s):
-        v = self.base._embed_scalar(s)
-        zero = (0,) * len(self.vars)
-        return () if self.base._is_zero(v) else ((zero, v),)
-
     def prime_ring(self):
         return self.base.prime_ring()
 
@@ -739,8 +721,8 @@ class _Triangular(CoeffRing):
         one = self.base._one()
         return (one, self.base._zero(), one)
 
-    def _embed_scalar(self, s):
-        v = self.base._embed_scalar(s)
+    def _from_fraction(self, q):
+        v = self.base._from_fraction(q)
         return (v, self.base._zero(), v)
 
     def _mul(self, x, y):
@@ -870,7 +852,7 @@ class RingMap:
         if self._identity:
             return r
         target = self.target
-        mul, embed, power = target._mul, target._embed_scalar, self._power
+        mul, embed, power = target._mul, target._from_fraction, self._power
 
         def images():
             for s, powers in ring._terms_as_products(r.value):

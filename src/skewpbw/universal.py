@@ -50,7 +50,7 @@ class HomSpec:
                 f"phi must cover exactly the source generators {sorted(src_gens)}"
             )
         for g, img in self.phi.items():
-            if img.pres.fingerprint != self.target.fingerprint:
+            if img.pres != self.target:
                 raise HomSpecError(f"phi({g}) is not a target polynomial")
             if not img.is_constant():
                 raise HomSpecError(f"phi({g}) must be a constant of the target")
@@ -60,7 +60,7 @@ class HomSpec:
         if len(self.y) != self.source.n:
             raise HomSpecError(f"need {self.source.n} variable images, got {len(self.y)}")
         for yi in self.y:
-            if yi.pres.fingerprint != self.target.fingerprint:
+            if yi.pres != self.target:
                 raise HomSpecError("variable image is not a target polynomial")
         src, tgt = self.source.ring, self.target.ring
         if src.prime_ring() != tgt.prime_ring():
@@ -163,7 +163,7 @@ def check_hom_conditions(spec: HomSpec, samples: int = 16, seed: int = 0) -> Hom
 
 def extend_hom(spec: HomSpec, f: Poly) -> Poly:
     """Termwise image of a source polynomial under the extended map."""
-    if f.pres.fingerprint != spec.source.fingerprint:
+    if f.pres != spec.source:
         raise HomSpecError("extend_hom expects a source polynomial")
     out = Poly.zero(spec.target)
     for alpha, r in f.terms.items():
@@ -182,10 +182,7 @@ def verify_mutual_inverse(spec: HomSpec, spec_back: HomSpec) -> bool:
     must pass check_hom_conditions, which makes both extensions ring maps;
     their composites are then the identity exactly when they fix every
     variable and coefficient generator (docs/exactness.md)."""
-    if (
-        spec.source.fingerprint != spec_back.target.fingerprint
-        or spec.target.fingerprint != spec_back.source.fingerprint
-    ):
+    if spec.source != spec_back.target or spec.target != spec_back.source:
         raise HomSpecError("specs do not point at each other")
     if not (check_hom_conditions(spec).ok and check_hom_conditions(spec_back).ok):
         return False

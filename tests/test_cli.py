@@ -480,3 +480,30 @@ def test_check_json_injectivity_is_structural_on_the_catalog(capsys):
         assert {(it["injectivity"], it["injectivity_mode"]) for it in items} == {
             ("injective", "structural")
         }, name
+
+
+def test_unprintable_parameter_does_not_block_products(capsys, tmp_path):
+    """Presentation identity never prints the parameters: a d too long to
+    print stops only the commands that print it."""
+    path = tmp_path / "huge_d.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ring": {"kind": "rationals"},
+                "vars": ["x1", "x2", "x3"],
+                "relations": [{"i": 1, "j": 2, "d": "2^20000"}],
+            }
+        )
+    )
+    assert timed_run(capsys, "mul", str(path), "x3", "x3") == (0, "x3^2\n", "")
+    assert timed_run(capsys, "mul", str(path), "x3", "x3", "--verify") == (0, "x3^2\n", "")
+    message = "error: a coefficient has more than 4300 decimal digits and is not printed\n"
+    assert timed_run(capsys, "check", str(path)) == (1, "", message)
+
+
+def test_products_at_the_variable_cap_do_bounded_work(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    names = [f"v{i}" for i in range(MAX_VARS)]
+    path.write_text(json.dumps({"ring": {"kind": "rationals"}, "vars": names}))
+    assert timed_run(capsys, "mul", str(path), "v1", "v0", "--verify") == (0, "x1*x2\n", "")
+    assert timed_run(capsys, "nf", str(path), "v1*v0") == (0, "x1*x2\n", "")

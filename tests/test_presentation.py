@@ -1,5 +1,7 @@
 """Parameter systems, derived mirror parameters, and the existence checker."""
 
+from fractions import Fraction
+
 import pytest
 
 from skewpbw import presentation
@@ -34,6 +36,15 @@ def test_construction_validation():
     with pytest.raises(PresentationError):
         Presentation(ring, ("q", "v"))  # collides with generator
     Presentation(QQ, ("x1", "x2"))  # positional names in slot are fine
+    for kw in (  # a key is checked even when its value is the default
+        {"c": {(1, 0): 1}},
+        {"c": {(0, 0): QQ.one()}},
+        {"d": {(0, 2): 0}},
+        {"a": {(0, 1, 2): 0}},
+        {"a": {(1, 0, 0): QQ.zero()}},
+    ):
+        with pytest.raises(PresentationError):
+            Presentation(QQ, ("u", "v"), **kw)
 
 
 def test_derived_params_quantum(quantum_plane):
@@ -307,7 +318,7 @@ def test_condition2_lie_closed_form(u_sl2):
             mono[j] += 1
             expected = Poly(u_sl2, {tuple(mono): r})
             for k in range(3):
-                a = u_sl2.a_of(i, j, k)
+                a = u_sl2.a_vector(i, j)[k]
                 if a:
                     ek = [0, 0, 0]
                     ek[k] = 1
@@ -478,10 +489,97 @@ def test_condition2_generators_decide_perturbed_family():
         assert verdicts.get((ring, True), 0) >= 5 and verdicts.get((ring, False), 0) >= 5, verdicts
 
 
+def _params(P, explicit: bool) -> dict:
+    """Constructor arguments that rebuild P; ``explicit`` writes out every
+    default c = 1, d = 0 and a = 0, otherwise only the other values."""
+    pairs = [(i, j) for i in range(P.n) for j in range(i + 1, P.n)]
+    c = {p: P.c_of(*p) for p in pairs if explicit or P.c_of(*p) != P.ring.one()}
+    d = {p: P.d_of(*p) for p in pairs if explicit or P.d_of(*p)}
+    a = {
+        (i, j, k): v
+        for i, j in pairs
+        for k, v in enumerate(P.a_vector(i, j))
+        if explicit or v
+    }
+    return dict(sigma=list(P.sigma), delta=list(P.delta), c=c, d=d, a=a)
+
+
+def _perturbations(P):
+    """(field, presentation) pairs that differ from P in one parameter;
+    a field is left out where the changed map would be rejected."""
+    ring, one = P.ring, P.ring.one()
+    out = []
+
+    def rebuild(field, var_names=P.var_names, **changes):
+        out.append((field, Presentation(ring, var_names, **{**_params(P, False), **changes})))
+
+    if P.n >= 2:
+        kw = _params(P, explicit=False)
+        rebuild("c", c={**kw["c"], (0, 1): P.c_of(0, 1) + one})
+        rebuild("d", d={**kw["d"], (0, 1): P.d_of(0, 1) + one})
+        rebuild("a", a={**kw["a"], (0, 1, 0): P.a_vector(0, 1)[0] + one})
+    rebuild("var name", var_names=P.var_names[:-1] + ("pert",))
+    if ring.generator_names():
+        g = ring.generator_names()[0]
+        if P.delta[0].is_zero_map():
+            images = {**dict(P.sigma[0].images), g: 2 * P.sigma[0].image(g)}
+            twist = RingMap.from_images(ring, images)
+            delta0 = SigmaDerivation.zero(ring, twist)
+            rebuild("sigma", sigma=[twist, *P.sigma[1:]], delta=[delta0, *P.delta[1:]])
+        images = {**dict(P.delta[0].images), g: P.delta[0].image(g) + one}
+        try:
+            delta0 = SigmaDerivation.from_images(ring, P.sigma[0], images)
+        except ValueError:  # incompatible with another generator's image
+            pass
+        else:
+            rebuild("delta", delta=[delta0, *P.delta[1:]])
+    if ring == QQ:
+        F = PrimeField(101)
+        kw = {
+            key: {k: F.from_fraction(Fraction(v.value)) for k, v in vals.items()}
+            for key, vals in _params(P, explicit=False).items()
+            if key in ("c", "d", "a")
+        }
+        out.append(("ring", Presentation(F, P.var_names, **kw)))
+    return out
+
+
 def test_fingerprint_stability(catalog_entries):
+    """P == Q exactly when their digests agree, and equal presentations hash
+    alike: over the catalog, the generated families, JSON round trips,
+    explicit against omitted defaults, and one-field perturbations."""
     from skewpbw import catalog as cat
+    from skewpbw.jsonio import presentation_from_json, presentation_to_json
+
+    from .genutil import dense_presentation, perturbed_presentation, qdiff_presentation
 
     for name, P in catalog_entries:
         fresh = dict(cat.all_presentations())[name]
         assert fresh.fingerprint == P.fingerprint
         assert fresh == P
+    bases = [P for _, P in catalog_entries] + [P for _, P in cat.all_presentations()]
+    bases += [dense_presentation(), qdiff_presentation(), Presentation(QQ, ("u", "v"))]
+    stream = Stream(11)
+    bases += [perturbed_presentation(stream.split(k)) for k in range(12)]
+    pool = []
+    fields = set()
+    for P in bases:
+        pool.append(P)
+        pool.append(presentation_from_json(presentation_to_json(P)))
+        for explicit in (True, False):
+            pool.append(Presentation(P.ring, P.var_names, **_params(P, explicit)))
+            assert pool[-1] == P and pool[-1].fingerprint == P.fingerprint
+        for field, Q in _perturbations(P):
+            assert Q != P and Q.fingerprint != P.fingerprint, field
+            fields.add(field)
+            pool.append(Q)
+    assert fields == {"c", "d", "a", "var name", "sigma", "delta", "ring"}
+    equal_pairs = 0
+    for P in pool:
+        for Q in pool:
+            assert (P == Q) == (P.fingerprint == Q.fingerprint), (P, Q)
+            assert (P != Q) == (P.fingerprint != Q.fingerprint), (P, Q)
+            if P == Q:
+                assert hash(P) == hash(Q)
+                equal_pairs += P is not Q
+    assert equal_pairs > len(pool)  # equality across distinct instances is exercised

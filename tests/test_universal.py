@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from skewpbw.algebra import Poly, random_poly, star
-from skewpbw.catalog import get
+from skewpbw.catalog import all_presentations, get
 from skewpbw.presentation import Presentation
+from skewpbw.reduction import star_oracle
 from skewpbw.rings import LaurentRing, PolyRing, QQ
 from skewpbw.rng import Stream
 from skewpbw.universal import (
@@ -268,3 +269,21 @@ def test_mutual_inverse_needs_both_seeds_to_pass():
     swap = HomSpec(P, P, phi, (Poly.variable(P, 1), Poly.variable(P, 0)))
     assert not check_hom_conditions(swap).ok
     assert not verify_mutual_inverse(swap, swap)
+
+
+def test_identity_never_builds_the_digest():
+    """Products, Poly equality and hashing, and homomorphism seeds compare
+    presentations by their parameters; the sha256 digest is built only to
+    be printed."""
+    for (name, P), (_, Q) in zip(all_presentations(), all_presentations()):
+        x = [Poly.variable(P, i) for i in range(P.n)]
+        y = [Poly.variable(Q, i) for i in range(Q.n)]
+        assert star(x[-1], x[0]) == star_oracle(x[-1], x[0]), name
+        assert x[0] == y[0] and hash(x[0]) == hash(y[0]), name
+        assert x[0] + y[-1] == y[0] + x[-1], name
+        phi = {g: Poly.const(Q, Q.ring.generator(g)) for g in Q.ring.generator_names()}
+        spec = HomSpec(P, Q, phi, y)
+        assert extend_hom(spec, x[-1] * x[0]) == y[-1] * y[0], name
+        assert verify_mutual_inverse(identity_spec(P), identity_spec(P)), name
+        assert verify_mutual_inverse(spec, identity_spec(Q)), name
+        assert P._fingerprint is None and Q._fingerprint is None, name
