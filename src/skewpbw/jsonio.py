@@ -18,7 +18,8 @@ Presentation schema:
 
 Ring kinds: rationals; prime_field (field "p"); laurent (one generator in
 "vars", field "base"); poly ("vars" and "base").  Missing relation pairs
-default to commuting (c = 1, d = 0, a = 0).
+default to commuting (c = 1, d = 0, a = 0).  Written files list every pair
+with its "c" and "d", and an "a" list only where some a_ijk is nonzero.
 
 Homomorphism schema:
 
@@ -202,15 +203,10 @@ def presentation_to_json(P: Presentation) -> dict:
     relations = []
     for i in range(P.n):
         for j in range(i + 1, P.n):
-            relations.append(
-                {
-                    "i": i + 1,
-                    "j": j + 1,
-                    "c": str(P.c_of(i, j)),
-                    "d": str(P.d_of(i, j)),
-                    "a": [str(x) for x in P.a_vector(i, j)],
-                }
-            )
+            rel = {"i": i + 1, "j": j + 1, "c": str(P.c_of(i, j)), "d": str(P.d_of(i, j))}
+            if P.linear_terms(i, j):  # n slots, so written only where some is nonzero
+                rel["a"] = [str(x) for x in P.a_vector(i, j)]
+            relations.append(rel)
     return {
         "ring": ring_to_json(P.ring),
         "vars": list(P.var_names),

@@ -18,8 +18,8 @@ covers mixed ground rings like Q[q^-1, q][t].  Zero coefficients are never
 stored, so the zero element of the structured kinds is the empty tuple.
 
 Maps fixed by generator images have one evaluator, RingMap.apply, which
-extends the images additively and multiplicatively (with a bounded memo of
-image powers).  The twists are RingMaps of a ring into itself, and the
+extends the images additively and multiplicatively, one tower layer at a
+time (with a bounded memo of image powers).  The twists are RingMaps of a ring into itself, and the
 coefficient map of a homomorphism seed is a RingMap into the target's ring.
 A twisted derivation (SigmaDerivation) d is the corner entry of the RingMap
 r |-> [[twist(r), d(r)], [0, r]] into upper-triangular matrices, which is
@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from .rng import Stream
 
@@ -263,12 +263,6 @@ class CoeffRing:
     def _random(self, stream: Stream, degree_bound: int):
         raise NotImplementedError
 
-    def _terms_as_products(self, a) -> Iterator[tuple[Any, tuple[tuple[str, int], ...]]]:
-        """Decompose a canonical value into (prime scalar, generator powers)
-        summands.  The prime scalar is a rational (int or Fraction) or a
-        residue int."""
-        raise NotImplementedError
-
     def prime_ring(self) -> "CoeffRing":
         return self
 
@@ -330,10 +324,6 @@ class Rationals(CoeffRing):
 
     def _random(self, stream, degree_bound):
         return _rational(Fraction(stream.int_between(-9, 9), stream.int_between(1, 9)))
-
-    def _terms_as_products(self, a):
-        if a != 0:
-            yield a, ()
 
     def describe(self):
         return "Q"
@@ -405,21 +395,8 @@ class PrimeField(CoeffRing):
     def _random(self, stream, degree_bound):
         return stream.below(self.p)
 
-    def _terms_as_products(self, a):
-        if a != 0:
-            yield a, ()
-
     def describe(self):
         return f"F_{self.p}"
-
-
-def _merge(term_map: dict, key, coeff, base: CoeffRing) -> None:
-    cur = term_map.get(key)
-    s = coeff if cur is None else base._add(cur, coeff)
-    if base._is_zero(s):
-        term_map.pop(key, None)
-    else:
-        term_map[key] = s
 
 
 def add_terms(acc: dict, items) -> dict:
@@ -480,20 +457,23 @@ class _TermRing(CoeffRing):
         return ()
 
     def _canon(self, d: dict):
-        return tuple(sorted(d.items()))
+        """The value of a term dict: zero coefficients dropped, keys sorted.
+        A raw zero of every base kind (0 or ()) is falsy, and no other raw
+        value is."""
+        return tuple(sorted(t for t in d.items() if t[1]))
 
     def _add(self, a, b):
-        d = dict(a)
-        for e, c in b:
-            _merge(d, e, c, self.base)
-        return self._canon(d)
+        return self._sum((a, b))
 
     def _sum(self, values):
-        # one term dict for all summands, sorted once
-        d: dict = {}
+        # one term dict for all summands, zeros dropped and sorted once
+        values = iter(values)
+        d = dict(next(values, ()))
+        get, add = d.get, self.base._add
         for v in values:
             for e, c in v:
-                _merge(d, e, c, self.base)
+                s = get(e)
+                d[e] = c if s is None else add(s, c)
         return self._canon(d)
 
     def _neg(self, a):
@@ -538,13 +518,22 @@ class LaurentRing(_TermRing):
         return self.elem(((1, self.base._one()),))
 
     def _mul(self, a, b):
+        mul = self.base._mul
         if len(a) == 1 == len(b):  # the base is a field: no zero product
             (e1, c1), (e2, c2) = a[0], b[0]
-            return ((e1 + e2, self.base._mul(c1, c2)),)
+            return ((e1 + e2, mul(c1, c2)),)
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:  # a shift of b: no zero product, order kept
+            e1, c1 = a[0]
+            return tuple((e1 + e2, mul(c1, c2)) for e2, c2 in b)
         d: dict = {}
+        get, add = d.get, self.base._add
         for e1, c1 in a:
             for e2, c2 in b:
-                _merge(d, e1 + e2, self.base._mul(c1, c2), self.base)
+                e, p = e1 + e2, mul(c1, c2)
+                s = get(e)
+                d[e] = p if s is None else add(s, p)
         return self._canon(d)
 
     def _is_unit(self, a):
@@ -563,18 +552,11 @@ class LaurentRing(_TermRing):
         return format_terms(self.base, (self.var,), (((e,), c) for e, c in a))
 
     def _random(self, stream, degree_bound):
-        d: dict = {}
+        terms = []
         for _ in range(1 + stream.below(3)):
             e = stream.int_between(-degree_bound, degree_bound) if degree_bound else 0
-            _merge(d, e, self.base._random(stream, 0), self.base)
-        return self._canon(d)
-
-    def _terms_as_products(self, a):
-        for e, c in a:
-            if e == 0:
-                yield c, ()
-            else:
-                yield c, ((self.var, e),)
+            terms.append(((e, self.base._random(stream, 0)),))
+        return self._sum(terms)
 
     def prime_ring(self):
         return self.base
@@ -629,10 +611,12 @@ class PolyRing(_TermRing):
             (e1, c1), (e2, c2) = a[0], b[0]
             return ((tuple(x + y for x, y in zip(e1, e2)), self.base._mul(c1, c2)),)
         d: dict = {}
+        get, mul, add = d.get, self.base._mul, self.base._add
         for e1, c1 in a:
             for e2, c2 in b:
-                key = tuple(x + y for x, y in zip(e1, e2))
-                _merge(d, key, self.base._mul(c1, c2), self.base)
+                key, p = tuple(x + y for x, y in zip(e1, e2)), mul(c1, c2)
+                s = get(key)
+                d[key] = p if s is None else add(s, p)
         return self._canon(d)
 
     def _is_unit(self, a):
@@ -663,7 +647,7 @@ class PolyRing(_TermRing):
         return format_terms(self.base, self.vars, a)
 
     def _random(self, stream, degree_bound):
-        d: dict = {}
+        terms = []
         for _ in range(1 + stream.below(3)):
             remaining = degree_bound
             exps = []
@@ -671,16 +655,8 @@ class PolyRing(_TermRing):
                 e = stream.below(remaining + 1) if remaining else 0
                 exps.append(e)
                 remaining -= e
-            _merge(d, tuple(exps), self.base._random(stream, degree_bound), self.base)
-        return self._canon(d)
-
-    def _terms_as_products(self, a):
-        for exps, c in a:
-            powers = tuple(
-                (name, e) for name, e in zip(self.vars, exps) if e
-            )
-            for s, inner in self.base._terms_as_products(c):
-                yield s, inner + powers
+            terms.append(((tuple(exps), self.base._random(stream, degree_bound)),))
+        return self._sum(terms)
 
     def prime_ring(self):
         return self.base.prime_ring()
@@ -773,7 +749,10 @@ class RingMap:
 
     ``_ladder`` memoises raw image powers image(g)**(sign * 2**k), at most
     one per generator, sign and bit; it takes no part in equality, hashing
-    or printing.
+    or printing.  ``_coeff`` is the map restricted to the coefficient layer
+    ``ring.base``.  It lands in ``target.base`` when the base generators go
+    to constants of a polynomial target, else in ``target`` itself, and it
+    shares the ladder, whose generator names are distinct across layers.
     """
 
     ring: CoeffRing
@@ -781,6 +760,24 @@ class RingMap:
     target: CoeffRing
     _identity: bool = field(compare=False, default=False)
     _ladder: dict = field(compare=False, repr=False, default_factory=dict)
+    _coeff: "RingMap | None" = field(compare=False, repr=False, default=None)
+
+    def __post_init__(self):
+        ring, target = self.ring, self.target
+        if self._identity or not ring.generator_names():
+            return
+        below = ring.base.generator_names()
+        images = {g: img for g, img in self.images if g in below}
+        layer = target
+        if isinstance(target, PolyRing) and all(
+            len(img.value) == 1 and not any(img.value[0][0]) for img in images.values()
+        ):
+            layer = target.base
+            images = {g: layer.elem(img.value[0][1]) for g, img in images.items()}
+        fixed = all(img == ring.base.generator(g) for g, img in images.items())
+        identity = layer == ring.base and fixed
+        coeff = RingMap(ring.base, tuple(images.items()), layer, identity, self._ladder)
+        object.__setattr__(self, "_coeff", coeff)
 
     @classmethod
     def identity(cls, ring: CoeffRing) -> "RingMap":
@@ -842,27 +839,42 @@ class RingMap:
         return target._one() if out is None else out
 
     def apply(self, r: CoeffElem) -> CoeffElem:
-        """The image of r: each summand s * g1^e1 ... gm^em of its canonical
-        decomposition (prime scalar times generator powers) goes to s times
-        image(g1)^e1 ... image(gm)^em, and the images are summed in the
-        target."""
+        """The image of r in the target."""
         ring = self.ring
         if r.ring is not ring and r.ring != ring:
             raise RingMismatchError("element belongs to a different ring")
         if self._identity:
             return r
-        target = self.target
-        mul, embed, power = target._mul, target._from_fraction, self._power
+        return CoeffElem(self.target, self._eval(r.value))
 
-        def images():
-            for s, powers in ring._terms_as_products(r.value):
-                p = None
-                for g, e in powers:
+    def _eval(self, v):
+        """Raw image of the raw value v, one tower layer at a time: the map
+        sends sum c_a y^a to sum coeff(c_a) * image(y)^a, so a coefficient
+        layer that the map fixes costs no work at all."""
+        if self._identity:
+            return v
+        ring, target, coeff = self.ring, self.target, self._coeff
+        if coeff is None:  # a prime field: the canonical map
+            return target._from_fraction(v)
+        mul, power, layer = target._mul, self._power, coeff.target
+        lifted = layer is not target  # coeff lands in target.base
+        laurent = isinstance(ring, LaurentRing)
+        names = (ring.var,) if laurent else ring.vars
+        zero = (0,) * len(target.vars) if lifted else None
+        out = []
+        for key, c in v:
+            a = coeff._eval(c)
+            if lifted:
+                if layer._is_zero(a):
+                    continue
+                a = ((zero, a),)
+            p = None
+            for g, e in zip(names, (key,) if laurent else key):
+                if e:
                     f = power(g, e)
                     p = f if p is None else mul(p, f)
-                yield embed(s) if p is None else mul(p, embed(s))
-
-        return CoeffElem(target, target._sum(images()))
+            out.append(a if p is None else mul(p, a))
+        return target._sum(out)
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,6 +15,7 @@ from skewpbw.jsonio import (
     ring_to_json,
 )
 from skewpbw.rings import LaurentRing, PolyRing, PrimeField, QQ
+from skewpbw.rng import Stream
 
 
 def test_ring_round_trips():
@@ -39,10 +40,27 @@ def test_ring_schema_errors():
 
 
 def test_presentation_round_trip(catalog_entries):
-    for name, P in catalog_entries:
-        blob = json.dumps(presentation_to_json(P))
-        Q = presentation_from_json(json.loads(blob))
-        assert Q.fingerprint == P.fingerprint, name
+    """Catalog entries and the generated families read back equal from
+    their JSON, which lists every pair with its c and d, and an a list only
+    where some a_ijk is nonzero."""
+    from .genutil import dense_presentation, perturbed_presentation, qdiff_presentation
+
+    stream = Stream(13)
+    cases = list(catalog_entries) + [("dense", dense_presentation()), ("qdiff", qdiff_presentation())]
+    cases += [(f"perturbed{k}", perturbed_presentation(stream.split(k))) for k in range(12)]
+    written = []
+    for name, P in cases:
+        obj = json.loads(json.dumps(presentation_to_json(P)))
+        Q = presentation_from_json(obj)
+        assert Q == P and Q.fingerprint == P.fingerprint, name
+        pairs = [(i + 1, j + 1) for i in range(P.n) for j in range(i + 1, P.n)]
+        assert [(rel["i"], rel["j"]) for rel in obj["relations"]] == pairs, name
+        for rel in obj["relations"]:
+            i, j = rel["i"] - 1, rel["j"] - 1
+            assert (rel["c"], rel["d"]) == (str(P.c_of(i, j)), str(P.d_of(i, j))), name
+            assert ("a" in rel) == bool(P.linear_terms(i, j)), (name, rel)
+            written.append("a" in rel)
+    assert 5 <= sum(written) < len(written)
 
 
 def test_unknown_keys_rejected(quantum_plane):

@@ -408,16 +408,70 @@ def _samples(ring, stream, count):
         yield r
 
 
+def _long_q_coefficients(stream, count):
+    """Elements of QM2: a 31-term Laurent polynomial in q times b^m c^m."""
+    q, b, c = (QM2.generator(g) for g in ("q", "b", "c"))
+    for m in range(count):
+        coeff = QM2.zero()
+        for e in range(-15, 16):
+            sign = 1 if stream.below(2) else -1
+            s = Fraction(sign * stream.int_between(1, 9), stream.int_between(1, 4))
+            coeff = coeff + s * q**e
+        yield coeff * b**m * c**m
+
+
 def test_structure_maps_match_independent_rebuild():
+    """Layer-by-layer evaluation against the flattened sum over summands:
+    twists that fix q or move it, a map into another ring, and the
+    derivations' maps into triangular matrices, on short random elements
+    and on long q-coefficients times b^m c^m."""
     stream = Stream(61)
-    negative = 0
-    for sigma, delta in _twisted_pairs():
+    negative = long = 0
+    mq, mt = MIXED.generator("q"), MIXED.generator("t")
+    into_mixed = RingMap.from_images(QM2, {"q": 2 * mq**-1, "b": mq * mt + 1, "c": mt * mt}, MIXED)
+    for sigma, delta in _twisted_pairs() + [(into_mixed, None)]:
         ring = sigma.ring
-        for r in _samples(ring, stream, 12):
+        samples = list(_samples(ring, stream, 12))
+        if ring == QM2:
+            samples += _long_q_coefficients(stream, 6)
+        for r in samples:
             assert sigma.apply(r) == _sigma_oracle(sigma, r), (ring.describe(), r)
-            assert delta.apply(r) == _delta_oracle(delta, r), (ring.describe(), r)
+            if delta is not None:
+                assert delta.apply(r) == _delta_oracle(delta, r), (ring.describe(), r)
             negative += any(e < 0 for _, p in _summands(ring, r.value) for e in p.values())
+            long += any(len(c) >= 30 for _, c in r.value) if ring == QM2 else 0
     assert negative >= 10
+    assert long >= 15
+
+
+def test_fixed_coefficient_layer_costs_no_products_per_q_term(monkeypatch):
+    """sigma_a of quantum_matrices2 fixes q, so twisting a q-coefficient
+    times b^5 c^5 takes as many polynomial products for 40 q-terms as for
+    one, once the image powers are memoised."""
+    from skewpbw import catalog
+
+    P = catalog.get("quantum_matrices2")
+    sigma, ring = P.sigma[0], P.ring
+    q, b, c = (ring.generator(g) for g in ("q", "b", "c"))
+    short = q**3 * b**5 * c**5
+    long = sum((Fraction(k % 7 + 1, 2) * q ** (k - 20) for k in range(40)), ring.zero())
+    long = long * b**5 * c**5
+    assert [len(coeff) for _, coeff in short.value + long.value] == [1, 40]
+    sigma.apply(short)  # fills the ladder
+    counts, images = [], []
+    real = PolyRing._mul
+
+    def counting(self, x, y):
+        counts[-1] += 1
+        return real(self, x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PolyRing, "_mul", counting)
+        for r in (short, long):
+            counts.append(0)
+            images.append(sigma.apply(r))
+    assert counts[0] == counts[1] > 0, counts
+    assert images == [_sigma_oracle(sigma, r) for r in (short, long)]
 
 
 def test_derivation_of_generator_powers_matches_linear_sum():
@@ -502,3 +556,54 @@ def test_equal_raw_values_in_different_rings_stay_apart():
         assert len({a: 1, b: 2}) == 2
     for a, b in colliding:
         assert a.value == b.value and hash(a) == hash(b)
+
+
+# -- Laurent kernel against a schoolbook product ----------------------------
+
+
+def _laurent(ring, terms):
+    """The element of a Laurent ring with exponent -> rational coefficients,
+    built from its canonical layout without the ring's arithmetic."""
+    reduced = ((e, ring.base._from_fraction(Fraction(c))) for e, c in sorted(terms.items()))
+    return ring.elem(tuple((e, c) for e, c in reduced if c))
+
+
+def _schoolbook(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + Fraction(c1) * c2
+    return out
+
+
+def test_laurent_products_and_sums_match_schoolbook():
+    """Products and sums in Q[q^+-1] and F_5[q^+-1] against exponent ->
+    Fraction dicts: negative exponents, one term times a long operand in
+    both orders, and sums and products whose terms cancel."""
+    stream = Stream(71)
+
+    def draw(size):
+        # denominators prime to 5, so the same dict also reads over F_5
+        terms = {}
+        while len(terms) < size:
+            sign = 1 if stream.below(2) else -1
+            s = Fraction(sign * stream.int_between(1, 9), stream.int_between(1, 4))
+            terms[stream.int_between(-20, 20)] = s
+        return terms
+
+    geometric = {e: 1 for e in range(-3, 9)}  # (sum_{-3}^{8} q^e) (1 - q) = q^-3 - q^9
+    pairs = [(geometric, {0: 1, 1: -1}), ({}, draw(5))]
+    for sizes in [(1, 1), (1, 30), (30, 1), (2, 30), (30, 30), (6, 3)]:
+        pairs += [(draw(sizes[0]), draw(sizes[1])) for _ in range(4)]
+    for a, b in list(pairs):
+        pairs.append((a, {e: -c for e, c in a.items() if e % 2} | b))  # cancelling sum
+    long_one_term = 0
+    for ring in (LQ, LaurentRing(F5, "q")):
+        for a, b in pairs:
+            x, y = _laurent(ring, a), _laurent(ring, b)
+            assert x * y == _laurent(ring, _schoolbook(a, b)), (ring.describe(), a, b)
+            total = {e: a.get(e, 0) + b.get(e, 0) for e in a.keys() | b.keys()}
+            assert x + y == _laurent(ring, total), (ring.describe(), a, b)
+            long_one_term += min(len(a), len(b)) == 1 and max(len(a), len(b)) == 30
+    assert _laurent(LQ, geometric) * _laurent(LQ, {0: 1, 1: -1}) == _laurent(LQ, {-3: 1, 9: -1})
+    assert long_one_term >= 16
