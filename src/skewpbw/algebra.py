@@ -14,16 +14,20 @@ edges; single steps are memoized per presentation, and the memo holds raw
 values too.  The variable-push memo factors out the last variable's power:
 x^beta x_n^m is already standard, so x_i x^gamma is x_i pushed through the
 prefix of gamma (last slot 0) with every result shifted by gamma_n in the
-last slot, and each prefix is pushed once.  Correctness of this path is
+last slot, and each prefix is pushed once.  Rational scalars are central
+(every twist fixes and every derivation kills the prime field), so star
+clears denominators at its edges: it multiplies the integral multiples D*f
+and E*g and divides by D*E once, and over integral parameters the kernel
+never touches a Fraction (docs/exactness.md).  Correctness of this path is
 anchored by the word-level normalization oracle (see reduction.star_oracle),
 which the test suite and the multiply command's verify mode run against it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
-
+import math
 from fractions import Fraction
+from typing import Iterable, Mapping
 
 from .rings import CoeffElem, RingMismatchError, add_terms, format_terms
 from .rng import Stream
@@ -328,19 +332,46 @@ def _var_times_terms(P, i: int, terms) -> tuple:
     return tuple(acc.items())
 
 
+def _cleared(f: Poly, ring) -> tuple[list, int]:
+    """(terms of D*f as raw values, D) for D the lcm of the denominators of
+    f's coefficients, so that D*f has integral rational coefficients."""
+    den = ring._denominator
+    terms = []
+    d = 1
+    for alpha, c in f.terms.items():
+        v = c.value
+        k = den(v)
+        if k != 1:
+            d = math.lcm(d, k)
+        terms.append((alpha, v))
+    if d != 1:
+        mul, scale = ring._mul, ring._from_fraction(d)
+        terms = [(alpha, mul(scale, v)) for alpha, v in terms]
+    return terms, d
+
+
 def star(f: Poly, g: Poly) -> Poly:
-    """The ring product, rewritten directly over exponent vectors."""
+    """The ring product, rewritten directly over exponent vectors.
+
+    Rational scalars are central, so star(D*f, E*g) = D*E*star(f, g): the
+    kernel multiplies the integral multiples D*f and E*g and divides each
+    output coefficient by D*E once (docs/exactness.md)."""
     f._same(g)
     P = f.pres
     ring = P.ring
-    g_terms = tuple((beta, c.value) for beta, c in g.terms.items())
+    f_terms, d = _cleared(f, ring)
+    g_terms, e = _cleared(g, ring)
     out: dict = {}
-    for alpha, r in f.terms.items():
+    for alpha, r in f_terms:
         cur = g_terms
         for i in range(P.n - 1, -1, -1):
             for _ in range(alpha[i]):
                 cur = _var_times_terms(P, i, cur)
-        _add_scaled(out, cur, r.value, ring)
+        _add_scaled(out, cur, r, ring)
+    de = d * e
+    if de != 1:
+        div = ring._div_int
+        out = {alpha: div(v, de) for alpha, v in out.items()}
     return Poly._trusted(P, {alpha: CoeffElem(ring, v) for alpha, v in out.items()})
 
 

@@ -23,7 +23,6 @@ Jacobian is it sampled, and labelled so (docs/exactness.md).
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 
@@ -214,6 +213,10 @@ class Presentation:
                 for j in range(i + 1, self.n):
                     avec = ", ".join(str(x) for x in self.a_vector(i, j))
                     lines.append(f"rel {i} {j}: c={self.c_of(i, j)} d={self.d_of(i, j)} a=({avec})")
+            # imported here: hashlib loads OpenSSL, about 3.6 MB resident,
+            # and only a printed header needs the digest
+            import hashlib
+
             digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
             self._fingerprint = digest
         return self._fingerprint

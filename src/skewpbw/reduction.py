@@ -13,7 +13,9 @@ Every child word has strictly smaller complexity, so the recursion
 terminates; it is evaluated iteratively with an explicit stack and a
 per-presentation memo table, which keeps deep reductions cheap and immune to
 interpreter recursion limits.  The memo is observably pure: entries are
-fully-reduced values of the map, never partial state.
+fully-reduced values of the map, never partial state.  One call of reduce_p
+or normalize_h adds at most MAX_NEW_ENTRIES entries and otherwise stops
+with StraighteningCapError, keeping the entries it completed.
 
 The prefix collapse multiplies out the scalar prefix of each standard word
 in the coefficient ring; composed with straightening it gives the
@@ -29,10 +31,16 @@ from .rings import add_terms
 from .words import FreeElem, Scalar, Var, Word, complexity, rightmost_violation, word_str
 
 DEFAULT_MAX_WORD_LEN = 16
+# memo entries that one call of reduce_p or normalize_h may add
+MAX_NEW_ENTRIES = 100_000
 
 
 class WordLengthError(ValueError):
     """Input word longer than the straightening cap."""
+
+
+class StraighteningCapError(ValueError):
+    """A straightening call needs more than MAX_NEW_ENTRIES new memo entries."""
 
 
 def _check_letters(w: Word, P) -> None:
@@ -88,13 +96,15 @@ def rewrite_step(w: Word, P) -> list[Word] | None:
     return out
 
 
-def _straighten(w: Word, cache: dict, expand, leaf) -> tuple:
+def _straighten(w: Word, cache: dict, expand, leaf, limit: int) -> tuple:
     """Memoized straightening of one word with an explicit stack.
 
     ``expand(word)`` gives the child words of one rewrite move, or None for a
     standard word, whose value is ``leaf(word)``; any other word's value is
     the sum of its children's values.  Values are tuples of (key, coeff)
-    pairs, and ``cache`` holds only fully reduced values.
+    pairs, and ``cache`` holds only fully reduced values.  Every word left
+    on the stack gets an entry, so the call stops with StraighteningCapError
+    as soon as the cache holds ``limit`` entries while one is still missing.
     """
     stack = [w]
     while stack:
@@ -102,6 +112,11 @@ def _straighten(w: Word, cache: dict, expand, leaf) -> tuple:
         if cur in cache:
             stack.pop()
             continue
+        if len(cache) >= limit:
+            raise StraighteningCapError(
+                f"straightening needs more than {MAX_NEW_ENTRIES} new memo entries; "
+                "the input is too large for the word-level oracle"
+            )
         children = expand(cur)
         if children is None:
             cache[cur] = leaf(cur)
@@ -142,7 +157,9 @@ def reduce_p(w: Word, P, *, check_descent: bool = False) -> FreeElem:
                     )
         return children
 
-    return FreeElem(dict(_straighten(w, P._reduce_cache, expand, lambda cur: ((cur, 1),))))
+    cache = P._reduce_cache
+    value = _straighten(w, cache, expand, lambda cur: ((cur, 1),), len(cache) + MAX_NEW_ENTRIES)
+    return FreeElem(dict(value))
 
 
 def reduce_elem(e: FreeElem, P, *, check_descent: bool = False) -> FreeElem:
@@ -210,7 +227,7 @@ def _coalesce(w: Word, ring) -> Word | None:
     return tuple(out)
 
 
-def _h_reduce(w: Word, P) -> tuple:
+def _h_reduce(w: Word, P, limit: int) -> tuple:
     """Normalization of a single coalesced word, memoized per presentation.
 
     Identical rewrite moves to reduce_p, but words are kept coalesced, which
@@ -219,7 +236,8 @@ def _h_reduce(w: Word, P) -> tuple:
     for the presentation's structure maps by construction.  Working modulo
     coalescing collapses the free-ring blow-up that makes the literal
     straightening expensive on dense parameter systems.
-    Returns a tuple of (monomial, coefficient) pairs.
+    Returns a tuple of (monomial, coefficient) pairs; ``limit`` bounds the
+    size of the memo (see _straighten).
     """
 
     def expand(cur):
@@ -240,7 +258,7 @@ def _h_reduce(w: Word, P) -> tuple:
                 counts[letter.index] += 1
         return ((tuple(counts), coeff),)
 
-    return _straighten(w, P._h_cache, expand, leaf)
+    return _straighten(w, P._h_cache, expand, leaf, limit)
 
 
 def normalize_h(
@@ -253,9 +271,11 @@ def normalize_h(
 
     Evaluated along the coalescing fast path of _h_reduce; equal to
     collapse_q(reduce_elem(e)), which the test suite asserts on random
-    inputs over every catalog presentation.
+    inputs over every catalog presentation.  One call adds at most
+    MAX_NEW_ENTRIES memo entries, else it raises StraighteningCapError.
     """
     terms: dict = {}
+    limit = len(P._h_cache) + MAX_NEW_ENTRIES
     for w, m in e:
         if len(w) > max_len:
             raise WordLengthError(f"word of length {len(w)} exceeds cap {max_len}")
@@ -263,7 +283,7 @@ def normalize_h(
         cw = _coalesce(tuple(w), P.ring)
         if cw is None:
             continue
-        add_terms(terms, ((mono, c * m) for mono, c in _h_reduce(cw, P)))
+        add_terms(terms, ((mono, c * m) for mono, c in _h_reduce(cw, P, limit)))
     return Poly(P, terms)
 
 

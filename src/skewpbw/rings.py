@@ -30,6 +30,7 @@ the existence checker accepts these two types and no others.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -254,6 +255,15 @@ class CoeffRing:
     def _is_constant(self, a) -> bool:
         raise NotImplementedError
 
+    def _denominator(self, a) -> int:
+        """The least positive int n with n*a free of denominators: the lcm
+        of the denominators of a's rational coefficients."""
+        raise NotImplementedError
+
+    def _div_int(self, a, n: int):
+        """Raw value of a/n for a positive int n (a unit of the prime ring)."""
+        raise NotImplementedError
+
     def _term_count(self, a) -> int:
         return 1
 
@@ -313,6 +323,15 @@ class Rationals(CoeffRing):
 
     def _is_constant(self, a):
         return True
+
+    def _denominator(self, a):
+        return 1 if type(a) is int else a.denominator
+
+    def _div_int(self, a, n):
+        if type(a) is int:
+            q, r = divmod(a, n)
+            return q if r == 0 else Fraction(a, n)
+        return _rational(a / n)
 
     def _format(self, a):
         if max(abs(a.numerator), a.denominator) >= _PRINT_BOUND:
@@ -388,6 +407,12 @@ class PrimeField(CoeffRing):
 
     def _is_constant(self, a):
         return True
+
+    def _denominator(self, a):
+        return 1
+
+    def _div_int(self, a, n):
+        return (a * pow(n, -1, self.p)) % self.p
 
     def _format(self, a):
         return str(a)
@@ -481,6 +506,20 @@ class _TermRing(CoeffRing):
 
     def _is_zero(self, a):
         return not a
+
+    def _denominator(self, a):
+        den = self.base._denominator
+        d = 1
+        for _, c in a:
+            k = den(c)
+            if k != 1:
+                d = math.lcm(d, k)
+        return d
+
+    def _div_int(self, a, n):
+        # n is a unit: no quotient is zero, and the order is kept
+        div = self.base._div_int
+        return tuple((e, div(c, n)) for e, c in a)
 
     def _term_count(self, a):
         return len(a)

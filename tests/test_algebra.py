@@ -1,11 +1,13 @@
 """Poly arithmetic, the product engine, and its leading-term contracts."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from skewpbw import catalog
+from skewpbw.catalog import StructureConstants, lie_presentation
 from skewpbw.algebra import (
     InconsistentPresentationError,
     Poly,
@@ -15,11 +17,21 @@ from skewpbw.algebra import (
     sigma_pow,
     star,
 )
+from skewpbw.expr import eval_str
 from skewpbw.reduction import star_oracle
-from skewpbw.rings import LaurentRing, PolyRing, QQ, RingMap, SigmaDerivation
-from skewpbw.presentation import Presentation
+from skewpbw.rings import (
+    LaurentRing,
+    PolyRing,
+    PrimeField,
+    QQ,
+    Rationals,
+    RingMap,
+    SigmaDerivation,
+)
+from skewpbw.presentation import Presentation, check_all
 from skewpbw.rng import Stream
 
+from .genutil import perturbed_presentation
 from .test_rings import _summands
 
 
@@ -367,3 +379,117 @@ def test_last_variable_powers_match_oracle_cold_and_warm(name):
     for f, g, expected in reversed(cases):
         got = star(Poly(warm, f.terms), Poly(warm, g.terms))
         assert got.terms == expected.terms
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel: star multiplies D*f and E*g, then divides by D*E
+
+
+def _integral(f: Poly) -> Poly:
+    """f with each coefficient multiplied by its own denominator."""
+    ring = f.pres.ring
+    return Poly(f.pres, {a: c * ring._denominator(c.value) for a, c in f.terms.items()})
+
+
+def _fractional(f: Poly, stream: Stream) -> Poly:
+    """f with each coefficient divided by a drawn k in 2..9."""
+    return Poly(f.pres, {a: c * Fraction(1, stream.int_between(2, 9)) for a, c in f.terms.items()})
+
+
+def _fraction_cases(P, stream: Stream, draws: int = 5):
+    """Operand pairs with only f, only g, or both fractional, and a zero
+    operand on either side."""
+    zero = Poly.zero(P)
+    for _ in range(draws):
+        f, g = (_integral(random_poly(P, stream, 3, 3)) for _ in range(2))
+        ff, gf = _fractional(f, stream), _fractional(g, stream)
+        yield from ((ff, g), (f, gf), (ff, gf), (zero, gf), (ff, zero))
+
+
+def _non_integral_presentations():
+    """Consistent presentations whose own parameters are not all integral,
+    and one over a prime field."""
+    so3 = {(0, 1): [0, 0, -1], (0, 2): [0, 1, 0], (1, 2): [-1, 0, 0]}
+    half_so3 = StructureConstants.build(
+        QQ, 3, {ij: [QQ.from_fraction(Fraction(v, 2)) for v in vec] for ij, vec in so3.items()}
+    )
+    f11 = PrimeField(11)
+    sl2_f11 = StructureConstants.build(
+        f11, 3, {(0, 1): [0, 0, -1], (0, 2): [2, 0, 0], (1, 2): [0, -2, 0]}
+    )
+    laurent = LaurentRing(QQ, "q")
+    two_thirds, fifth = QQ.from_fraction(Fraction(2, 3)), QQ.from_fraction(Fraction(1, 5))
+    return [
+        ("half_so3", lie_presentation(half_so3)),
+        ("c=2/3", Presentation(QQ, ("x1", "x2"), c={(0, 1): two_thirds}, d={(0, 1): fifth})),
+        ("c=q/2", Presentation(laurent, ("x1", "x2"), c={(0, 1): laurent.generator("q") * Fraction(1, 2)})),
+        ("sl2/F11", lie_presentation(sl2_f11)),
+    ]
+
+
+def test_fractional_operands_match_oracle(catalog_entries):
+    for name, P in catalog_entries:
+        stream = Stream(131).split(name)
+        fractional = 0
+        for f, g in _fraction_cases(P, stream):
+            fractional += any(P.ring._denominator(c.value) > 1 for c in f.terms.values())
+            assert star(f, g) == star_oracle(f, g), name
+        assert fractional >= 5, name
+
+
+def test_fractional_operands_over_non_integral_parameters():
+    for name, P in _non_integral_presentations():
+        assert check_all(P).overall, name
+        stream = Stream(137).split(name)
+        for f, g in _fraction_cases(P, stream):
+            assert star(f, g) == star_oracle(f, g), name
+
+
+def test_thirty_distinct_prime_denominators():
+    P = catalog.get("weyl", 2)
+    stream = Stream(139)
+    primes = [p for p in range(2, 130) if all(p % d for d in range(2, p))][:30]
+    monomials = [a for a in itertools.product(range(3), repeat=4) if sum(a) <= 3][:30]
+    f = Poly(
+        P,
+        {a: QQ.from_fraction(Fraction(stream.int_between(1, 9), p)) for a, p in zip(monomials, primes)},
+    )
+    assert len(f.terms) == 30
+    for _ in range(3):
+        g = _fractional(_integral(random_poly(P, stream, 3, 3)), stream)
+        assert star(f, g) == star_oracle(f, g)
+        assert star(g, f) == star_oracle(g, f)
+
+
+def test_denominators_are_cleared_before_the_kernel(weyl1, monkeypatch):
+    # the only Fraction operands of Rationals._mul inside star are the
+    # scalings of the fractional input coefficients by D and by E
+    f = eval_str("1/2*x2^3 + 1/3*x2 + 4", weyl1)
+    g = eval_str("2/3*x1^2 + 5/7*x1 + 1/4", weyl1)
+    expected = star_oracle(f, g)
+    calls = []
+    mul = Rationals._mul
+
+    def counting(self, a, b):
+        calls.append(type(a) is Fraction or type(b) is Fraction)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Rationals, "_mul", counting)
+    assert star(f, g) == expected
+    assert len(calls) > 20 and sum(calls) == 2 + 3
+
+
+def test_clearing_denominators_changes_no_product(monkeypatch):
+    # rational scalars are central because every twist fixes and every
+    # derivation kills the prime field, which holds by construction, so
+    # clearing is exact also over presentations that fail the checks
+    stream = Stream(149)
+    pres = [perturbed_presentation(stream.split(k)) for k in range(12)]
+    pres += [P for _, P in _non_integral_presentations()]
+    assert sum(not check_all(P).overall for P in pres) >= 3
+    cases = [case for P in pres for case in _fraction_cases(P, stream, 2)]
+    cleared = [star(f, g) for f, g in cases]
+    monkeypatch.setattr(Rationals, "_denominator", lambda self, a: 1)
+    for (f, g), got in zip(cases, cleared):
+        plain = star(f, g)
+        assert got.terms == plain.terms and str(got) == str(plain)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from skewpbw import cli
+from skewpbw import cli, reduction
 from skewpbw.algebra import ExponentCapError, Poly
 from skewpbw.jsonio import presentation_to_json
 from skewpbw.catalog import StructureConstants, get, lie_presentation
@@ -507,3 +507,42 @@ def test_products_at_the_variable_cap_do_bounded_work(capsys, tmp_path):
     path.write_text(json.dumps({"ring": {"kind": "rationals"}, "vars": names}))
     assert timed_run(capsys, "mul", str(path), "v1", "v0", "--verify") == (0, "x1*x2\n", "")
     assert timed_run(capsys, "nf", str(path), "v1*v0") == (0, "x1*x2\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (
+            ("mul", "catalog:weyl1", "1/2*x2^3", "2/3*x1^2", "--verify"),
+            "1/3*x1^2*x2^3 + 2*x1*x2^2 + 2*x2",
+        ),
+        (
+            ("mul", "catalog:quantum_plane", "3/4*x2^2", "(1/3*q + 2/5)*x1"),
+            "(1/4*q^3 + 3/10*q^2)*x1*x2^2",
+        ),
+        (
+            ("nf", "catalog:u_sl2", "(1/2*x3 + 2/3*x1)*(3/5*x2 - 1/7)*x1"),
+            "2/5*x1^2*x2 + 3/10*x1*x2*x3 - 2/21*x1^2 - 33/70*x1*x3 - 3/10*x3^2 - 1/7*x1",
+        ),
+        (
+            ("nf", "catalog:u_sl2", "(1/2*x3 - 2/3)*(3/4*x2 + 1/5*x1*x3)"),
+            "1/10*x1*x3^2 + 1/15*x1*x3 + 3/8*x2*x3 - 5/4*x2",
+        ),
+    ],
+)
+def test_fractional_products_print_byte_for_byte(capsys, argv, printed):
+    assert run(capsys, *argv) == (0, printed + "\n", "")
+
+
+def test_oracle_work_cap_is_a_one_line_error(capsys, monkeypatch):
+    argv = ("mul", "catalog:diffusion2", "x2^3", "x1^3", "--verify")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("q^9*x1^3*x2^3 + ")
+    monkeypatch.setattr(reduction, "MAX_NEW_ENTRIES", 50)
+    P = get("diffusion2")
+    x1, x2 = Poly.variable(P, 0), Poly.variable(P, 1)
+    with pytest.raises(reduction.StraighteningCapError, match="more than 50 new memo entries"):
+        reduction.star_oracle(x2**3, x1**3)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

@@ -293,3 +293,23 @@ def test_straightening_work_is_pinned(name, reduce_entries, h_entries):
         f, g = eval_str(a, P), eval_str(b, P)
         assert star_oracle(f, g) == star(f, g)
     assert (len(P._reduce_cache), len(P._h_cache)) == (reduce_entries, h_entries)
+
+
+def test_capped_straightening_leaves_a_pure_memo(monkeypatch):
+    """A call stopped by the cap on new memo entries keeps only fully
+    reduced entries, so the same memo later gives a fresh memo's values."""
+    from skewpbw import reduction
+
+    word = (Var(1),) * 3 + (Var(0),) * 3
+    P, fresh = dense_presentation(), dense_presentation()
+    Q, fresh_q = catalog.get("diffusion2"), catalog.get("diffusion2")
+    f, g = eval_str("x2^3", Q), eval_str("x1^3", Q)
+    monkeypatch.setattr(reduction, "MAX_NEW_ENTRIES", 40)
+    with pytest.raises(reduction.StraighteningCapError):
+        reduce_p(word, P)
+    with pytest.raises(reduction.StraighteningCapError):
+        star_oracle(f, g)
+    assert 0 < len(P._reduce_cache) <= 40 and 0 < len(Q._h_cache) <= 40
+    monkeypatch.undo()
+    assert reduce_p(word, P) == reduce_p(word, fresh)
+    assert star_oracle(f, g) == star_oracle(Poly(fresh_q, f.terms), Poly(fresh_q, g.terms))

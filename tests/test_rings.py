@@ -1,5 +1,6 @@
 """Coefficient rings: canonical arithmetic, units, structure maps."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -607,3 +608,23 @@ def test_laurent_products_and_sums_match_schoolbook():
             long_one_term += min(len(a), len(b)) == 1 and max(len(a), len(b)) == 30
     assert _laurent(LQ, geometric) * _laurent(LQ, {0: 1, 1: -1}) == _laurent(LQ, {-3: 1, 9: -1})
     assert long_one_term >= 16
+
+
+def test_denominator_and_exact_division():
+    # D is the lcm of the denominators of all rational coefficients (1 over
+    # F_p), and dividing by n gives back the canonical value of a / n
+    stream = Stream(31)
+    for ring in ALL_RINGS:
+        rational = ring.prime_ring() == QQ
+        for _ in range(40):
+            k = stream.choice((1, 2, 3, 4, 6, 8, 9, 12))
+            a = ring.random_elem(stream, 2) * Fraction(1, k)
+            d = ring._denominator(a.value)
+            dens = [Fraction(s).denominator for s, _ in _summands(ring, a.value)]
+            assert d == (math.lcm(*dens) if rational else 1), (ring, a)
+            assert all(Fraction(s).denominator == 1 for s, _ in _summands(ring, (a * d).value))
+            for n in (1, 2, 3, 12):
+                q = ring._div_int((a * n).value, n)
+                assert q == a.value, (ring, a, n)
+                # canonical: a rational coefficient is an int exactly when integral
+                assert all((type(s) is int) == (s.denominator == 1) for s, _ in _summands(ring, q))
