@@ -13,9 +13,17 @@ Every child word has strictly smaller complexity, so the recursion
 terminates; it is evaluated iteratively with an explicit stack and a
 per-presentation memo table, which keeps deep reductions cheap and immune to
 interpreter recursion limits.  The memo is observably pure: entries are
-fully-reduced values of the map, never partial state.  One call of reduce_p
-or normalize_h adds at most MAX_NEW_ENTRIES entries and otherwise stops
-with StraighteningCapError, keeping the entries it completed.
+fully-reduced values of the map, never partial state.
+
+A word's leading run of scalar letters is never rewritten, because every
+violation starts with a variable.  So straightening is a left-module map:
+reduce_p(p·w) = p·reduce_p(w) and h(r·w) = r·h(w) (docs/exactness.md).
+Both memo tables are keyed on words with no leading scalar, and a word's
+value is the sum over its children of (child's leading scalars) applied to
+the value of the rest of the child; the same word behind different leading
+scalars is straightened once.  One call of reduce_p or normalize_h that
+has stored MAX_NEW_PAIRS (key, coefficient) pairs and still needs a word
+stops with StraighteningCapError, keeping the entries it completed.
 
 The prefix collapse multiplies out the scalar prefix of each standard word
 in the coefficient ring; composed with straightening it gives the
@@ -31,8 +39,9 @@ from .rings import add_terms
 from .words import FreeElem, Scalar, Var, Word, complexity, rightmost_violation, word_str
 
 DEFAULT_MAX_WORD_LEN = 16
-# memo entries that one call of reduce_p or normalize_h may add
-MAX_NEW_ENTRIES = 100_000
+# (key, coefficient) pairs that one call of reduce_p or normalize_h may store
+# in its memo; an entry whose value is zero counts as one pair
+MAX_NEW_PAIRS = 500_000
 
 
 class WordLengthError(ValueError):
@@ -40,7 +49,7 @@ class WordLengthError(ValueError):
 
 
 class StraighteningCapError(ValueError):
-    """A straightening call needs more than MAX_NEW_ENTRIES new memo entries."""
+    """A straightening call needs to store more than MAX_NEW_PAIRS memo pairs."""
 
 
 def _check_letters(w: Word, P) -> None:
@@ -96,42 +105,72 @@ def rewrite_step(w: Word, P) -> list[Word] | None:
     return out
 
 
-def _straighten(w: Word, cache: dict, expand, leaf, limit: int) -> tuple:
-    """Memoized straightening of one word with an explicit stack.
+def _split(w: Word) -> tuple[Word, Word]:
+    """A word as (its leading run of scalar letters, the rest)."""
+    k = 0
+    for letter in w:
+        if isinstance(letter, Var):
+            break
+        k += 1
+    return w[:k], w[k:]
 
-    ``expand(word)`` gives the child words of one rewrite move, or None for a
-    standard word, whose value is ``leaf(word)``; any other word's value is
-    the sum of its children's values.  Values are tuples of (key, coeff)
-    pairs, and ``cache`` holds only fully reduced values.  Every word left
-    on the stack gets an entry, so the call stops with StraighteningCapError
-    as soon as the cache holds ``limit`` entries while one is still missing.
+
+def _straighten(roots, cache: dict, expand, leaf, combine) -> None:
+    """Memoized straightening of words with no leading scalar, with an
+    explicit stack; afterwards ``cache`` holds the value of every root.
+
+    ``expand(word)`` gives the children of one rewrite move, each split as
+    (prefix, rest) with rest free of leading scalars, or None for a standard
+    word, whose value is ``leaf(word)``.  Any other word's value is the sum
+    over its children of prefix · value(rest), which
+    ``combine([(prefix, value(rest)), ...])`` returns.  Values are tuples of
+    (key, coeff) pairs, and ``cache`` holds only fully reduced values.  Each
+    word is expanded once: its children stay on the stack beside it until
+    their values are in.  The call stops with StraighteningCapError when it
+    has stored MAX_NEW_PAIRS pairs and a word is still missing.
     """
-    stack = [w]
-    while stack:
-        cur = stack[-1]
-        if cur in cache:
+    limit = MAX_NEW_PAIRS
+    stored = 0
+    for root in roots:
+        stack = [(root, None)]
+        while stack:
+            cur, children = stack[-1]
+            if children is None:
+                if cur in cache:
+                    stack.pop()
+                    continue
+                if stored >= limit:
+                    raise StraighteningCapError(
+                        f"straightening needs more than {limit} new memo pairs; "
+                        "the input is too large for the word-level oracle"
+                    )
+                children = expand(cur)
+                if children is None:
+                    value = leaf(cur)
+                    cache[cur] = value
+                    stored += len(value) or 1
+                    stack.pop()
+                    continue
+                missing = [(rest, None) for _, rest in children if rest not in cache]
+                if missing:
+                    # every word above cur descends from it, so all of them
+                    # are reduced before cur is on top again
+                    stack[-1] = (cur, children)
+                    stack.extend(missing)
+                    continue
+            value = combine([(prefix, cache[rest]) for prefix, rest in children])
+            cache[cur] = value
+            stored += len(value) or 1
             stack.pop()
-            continue
-        if len(cache) >= limit:
-            raise StraighteningCapError(
-                f"straightening needs more than {MAX_NEW_ENTRIES} new memo entries; "
-                "the input is too large for the word-level oracle"
-            )
-        children = expand(cur)
-        if children is None:
-            cache[cur] = leaf(cur)
-            stack.pop()
-            continue
-        missing = [child for child in children if child not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
-        acc: dict = {}
-        for child in children:
-            add_terms(acc, cache[child])
-        cache[cur] = tuple(acc.items())
-        stack.pop()
-    return cache[w]
+
+
+def _combine_words(parts) -> tuple:
+    """Sum of prefix · value, concatenation on the left, over values that
+    map standard words to integers."""
+    acc: dict = {}
+    for prefix, value in parts:
+        add_terms(acc, ((prefix + sw, m) for sw, m in value) if prefix else value)
+    return tuple(acc.items())
 
 
 def reduce_p(w: Word, P, *, check_descent: bool = False) -> FreeElem:
@@ -139,7 +178,9 @@ def reduce_p(w: Word, P, *, check_descent: bool = False) -> FreeElem:
 
     ``check_descent`` re-verifies the termination measure on every expansion
     (each child strictly smaller in the lexicographic complexity order); with
-    the shared memo, each distinct word is checked once.
+    the shared memo, each distinct word is checked once.  Leading scalars
+    add nothing to the complexity, so the check on a word without them is
+    the check on every word that differs from it only there.
     """
     w = tuple(w)
     if len(w) > DEFAULT_MAX_WORD_LEN:
@@ -148,18 +189,21 @@ def reduce_p(w: Word, P, *, check_descent: bool = False) -> FreeElem:
 
     def expand(cur):
         children = rewrite_step(cur, P)
-        if check_descent and children is not None:
+        if children is None:
+            return None
+        if check_descent:
             cc = complexity(cur)
             for child in children:
                 if not complexity(child) < cc:
                     raise AssertionError(
                         f"complexity did not drop: {word_str(cur)} -> {word_str(child)}"
                     )
-        return children
+        return [_split(child) for child in children]
 
+    prefix, rest = _split(w)
     cache = P._reduce_cache
-    value = _straighten(w, cache, expand, lambda cur: ((cur, 1),), len(cache) + MAX_NEW_ENTRIES)
-    return FreeElem(dict(value))
+    _straighten((rest,), cache, expand, lambda cur: ((cur, 1),), _combine_words)
+    return FreeElem(dict(_combine_words(((prefix, cache[rest]),))))
 
 
 def reduce_elem(e: FreeElem, P, *, check_descent: bool = False) -> FreeElem:
@@ -207,58 +251,91 @@ def section_t(f: Poly) -> FreeElem:
     return FreeElem(out)
 
 
-def _coalesce(w: Word, ring) -> Word | None:
-    """Merge adjacent scalar letters into their product; None when a zero
-    letter makes the whole word normalize to zero."""
+def _coalesce(w: Word, ring) -> tuple | None:
+    """Merge adjacent scalar letters into their product and split off the
+    leading one: (raw value of the leading scalar or None, the rest).
+    None when a zero letter makes the whole word normalize to zero."""
+    mul, is_zero = ring._mul, ring._is_zero
     out: list = []
     for letter in w:
         if isinstance(letter, Scalar):
-            if not letter.value:
+            raw = letter.value.value
+            if is_zero(raw):
                 return None
             if out and isinstance(out[-1], Scalar):
-                v = out[-1].value * letter.value
-                if not v:
+                raw = mul(out[-1].value.value, raw)
+                if is_zero(raw):
                     return None
-                out[-1] = Scalar(v)
+                out[-1] = Scalar(ring.elem(raw))
             else:
                 out.append(letter)
         else:
             out.append(letter)
-    return tuple(out)
+    if out and isinstance(out[0], Scalar):
+        return out[0].value.value, tuple(out[1:])
+    return None, tuple(out)
 
 
-def _h_reduce(w: Word, P, limit: int) -> tuple:
-    """Normalization of a single coalesced word, memoized per presentation.
+def _h_reduce(roots, P) -> dict:
+    """Normalization of coalesced words with no leading scalar, memoized per
+    presentation; returns the memo, which then holds every root's value.
 
     Identical rewrite moves to reduce_p, but words are kept coalesced, which
     is exact for the normalized value: merging two adjacent coefficient
     letters only uses the endomorphism and twisted-Leibniz laws, which hold
     for the presentation's structure maps by construction.  Working modulo
     coalescing collapses the free-ring blow-up that makes the literal
-    straightening expensive on dense parameter systems.
-    Returns a tuple of (monomial, coefficient) pairs; ``limit`` bounds the
-    size of the memo (see _straighten).
+    straightening expensive on dense parameter systems.  A coalesced child
+    has at most one leading scalar r, and h(r·rest) = r·h(rest).  Values
+    are tuples of (monomial, raw coefficient) pairs.
     """
+    ring = P.ring
+    one = ring._one()
 
     def expand(cur):
         children = rewrite_step(cur, P)
         if children is None:
             return None
-        coalesced = (_coalesce(child, P.ring) for child in children)
-        return [cw for cw in coalesced if cw is not None]
+        coalesced = (_coalesce(child, ring) for child in children)
+        return [split for split in coalesced if split is not None]
 
     def leaf(cur):
-        # coalesced standard word: at most one scalar letter, in front
-        coeff = P.ring.one()
+        # a standard word with no leading scalar: variables in order
         counts = [0] * P.n
         for letter in cur:
-            if isinstance(letter, Scalar):
-                coeff = coeff * letter.value
-            else:
-                counts[letter.index] += 1
-        return ((tuple(counts), coeff),)
+            counts[letter.index] += 1
+        return ((tuple(counts), one),)
 
-    return _straighten(w, P._h_cache, expand, leaf, limit)
+    cache = P._h_cache
+    _straighten(roots, cache, expand, leaf, _raw_combiner(ring))
+    return cache
+
+
+def _raw_combiner(ring):
+    """combine for _straighten over raw coefficients: the sum of r · value
+    (left multiplication, r None for 1) over values that map monomials to
+    raw values.  Each monomial's coefficients are summed once, at the end."""
+    mul, total, is_zero = ring._mul, ring._sum, ring._is_zero
+
+    def combine(parts) -> tuple:
+        acc: dict = {}
+        for r, value in parts:
+            for mono, c in value:
+                if r is not None:
+                    c = mul(r, c)
+                cs = acc.get(mono)
+                if cs is None:
+                    acc[mono] = [c]
+                else:
+                    cs.append(c)
+        out = []
+        for mono, cs in acc.items():
+            c = cs[0] if len(cs) == 1 else total(cs)
+            if not is_zero(c):
+                out.append((mono, c))
+        return tuple(out)
+
+    return combine
 
 
 def normalize_h(
@@ -271,20 +348,24 @@ def normalize_h(
 
     Evaluated along the coalescing fast path of _h_reduce; equal to
     collapse_q(reduce_elem(e)), which the test suite asserts on random
-    inputs over every catalog presentation.  One call adds at most
-    MAX_NEW_ENTRIES memo entries, else it raises StraighteningCapError.
+    inputs over every catalog presentation.  One call that has stored
+    MAX_NEW_PAIRS memo pairs and still needs a word raises
+    StraighteningCapError.
     """
-    terms: dict = {}
-    limit = len(P._h_cache) + MAX_NEW_ENTRIES
+    ring = P.ring
+    scaled = []  # (raw multiplier, word with no leading scalar)
     for w, m in e:
         if len(w) > max_len:
             raise WordLengthError(f"word of length {len(w)} exceeds cap {max_len}")
         _check_letters(w, P)
-        cw = _coalesce(tuple(w), P.ring)
-        if cw is None:
-            continue
-        add_terms(terms, ((mono, c * m) for mono, c in _h_reduce(cw, P, limit)))
-    return Poly(P, terms)
+        split = _coalesce(tuple(w), ring)
+        if split is not None:
+            r, rest = split
+            k = ring._from_fraction(m)
+            scaled.append((k if r is None else ring._mul(r, k), rest))
+    cache = _h_reduce([rest for _, rest in scaled], P)
+    terms = _raw_combiner(ring)([(k, cache[rest]) for k, rest in scaled])
+    return Poly(P, {mono: ring.elem(c) for mono, c in terms})
 
 
 def h_word(w: Word, P) -> Poly:

@@ -538,10 +538,10 @@ def test_oracle_work_cap_is_a_one_line_error(capsys, monkeypatch):
     argv = ("mul", "catalog:diffusion2", "x2^3", "x1^3", "--verify")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.startswith("q^9*x1^3*x2^3 + ")
-    monkeypatch.setattr(reduction, "MAX_NEW_ENTRIES", 50)
+    monkeypatch.setattr(reduction, "MAX_NEW_PAIRS", 50)
     P = get("diffusion2")
     x1, x2 = Poly.variable(P, 0), Poly.variable(P, 1)
-    with pytest.raises(reduction.StraighteningCapError, match="more than 50 new memo entries"):
+    with pytest.raises(reduction.StraighteningCapError, match="more than 50 new memo pairs"):
         reduction.star_oracle(x2**3, x1**3)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""

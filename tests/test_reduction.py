@@ -7,6 +7,7 @@ import pytest
 from skewpbw import catalog
 from skewpbw.algebra import Poly, star
 from skewpbw.expr import eval_str
+from skewpbw.presentation import Presentation
 from skewpbw.reduction import (
     WordLengthError,
     collapse_q,
@@ -14,9 +15,11 @@ from skewpbw.reduction import (
     normalize_h,
     reduce_elem,
     reduce_p,
+    rewrite_step,
     section_t,
     star_oracle,
 )
+from skewpbw.rings import PolyRing, PrimeField, RingMap, SigmaDerivation
 from skewpbw.rng import Stream
 from skewpbw.words import FreeElem, Scalar, Var, is_standard
 
@@ -160,6 +163,119 @@ def test_fast_h_equals_literal_route(catalog_entries):
             assert normalize_h(e, P) == collapse_q(reduce_elem(e, P), P)
 
 
+def _fp_presentation():
+    """Two variables over F_5[t]: the first passes t by the twist t -> 2t
+    with a unit derivation term, and the relation has c = 3, a = (t, 4),
+    d = 1.  Not required to be consistent; multiplicities that are
+    multiples of 5 vanish in the coefficients."""
+    ring = PolyRing(PrimeField(5), ("t",))
+    t = ring.generator("t")
+    double = RingMap.from_images(ring, {"t": t * 2})
+    return Presentation(
+        ring,
+        ("u", "v"),
+        sigma=[double, RingMap.identity(ring)],
+        delta=[SigmaDerivation.from_images(ring, double, {"t": ring.one()}), SigmaDerivation.zero(ring)],
+        c={(0, 1): ring.from_int(3)},
+        d={(0, 1): ring.one()},
+        a={(0, 1, 0): t, (0, 1, 1): ring.from_int(4)},
+    )
+
+
+def _literal_straighten(w, P) -> dict:
+    """Straightening by its definition: recurse on rewrite_step with no
+    memo, and add up the children's values."""
+    children = rewrite_step(w, P)
+    if children is None:
+        return {w: 1}
+    out: dict = {}
+    for child in children:
+        for sw, m in _literal_straighten(child, P).items():
+            out[sw] = out.get(sw, 0) + m
+    return out
+
+
+def _prefixed_words(P, stream, count):
+    """(leading scalars, body) pairs: 0-3 scalar letters in front of a body
+    that starts with a variable."""
+    pool = scalar_pool(P, stream)
+    for k in range(count):
+        prefix = tuple(Scalar(stream.choice(pool)) for _ in range(k % 4))
+        body = (Var(stream.below(P.n)),) + random_word(P, stream, 5, pool)
+        yield prefix, body
+
+
+def _leading_scalar_entries(catalog_entries):
+    return list(catalog_entries) + [
+        ("qdiff", qdiff_presentation()),
+        ("dense", dense_presentation()),
+        ("F_5[t]", _fp_presentation()),
+    ]
+
+
+def test_memo_straightening_matches_literal_recursion(catalog_entries):
+    """reduce_p, whose memo is keyed on words without leading scalars,
+    equals the memo-free recursion on words with 0-3 leading scalars; and
+    normalize_h equals collapse_q of reduce_elem on the same words, also
+    inside a combination with multiplicities."""
+    for name, P in _leading_scalar_entries(catalog_entries):
+        stream = Stream(457).split(name)
+        for prefix, body in _prefixed_words(P, stream, 24):
+            w = prefix + body
+            assert reduce_p(w, P, check_descent=True) == FreeElem(_literal_straighten(w, P)), name
+            e = FreeElem.from_word(w, 2) + FreeElem.from_word(body, -5)
+            assert normalize_h(e, P) == collapse_q(reduce_elem(e, P), P), name
+            assert normalize_h(FreeElem.from_word(w), P) == collapse_q(reduce_p(w, P), P), name
+
+
+def test_leading_scalars_factor_out(catalog_entries):
+    """reduce_p(p.w) is p concatenated in front of reduce_p(w), and
+    h(r.w) = r.h(w), whichever of the two words is straightened first."""
+    for name, P in _leading_scalar_entries(catalog_entries):
+        stream = Stream(461).split(name)
+        for k, (prefix, body) in enumerate(_prefixed_words(P, stream, 24)):
+            if not prefix:
+                continue
+            order = (prefix + body, body) if k % 2 else (body, prefix + body)
+            values = {w: reduce_p(w, P) for w in order}
+            expected = FreeElem({prefix + sw: m for sw, m in values[body]})
+            assert values[prefix + body] == expected, name
+            r = P.ring.one()
+            for letter in prefix:
+                r = r * letter.value
+            assert h_word(prefix + body, P) == h_word(body, P).scale(r), name
+
+
+def test_descent_check_catches_a_move_that_does_not_descend(monkeypatch):
+    """check_descent raises when a rewrite move returns a child that is not
+    smaller, on words with and without leading scalars, and for a bad child
+    with and without a leading scalar of its own."""
+    from skewpbw import reduction
+
+    real = reduction.rewrite_step
+    t = Scalar(dense_presentation().ring.generator("t"))
+    calls = []
+
+    def bad_move(child_of):
+        def step(w, P):
+            calls.append(w)
+            if len(calls) > 1000:  # a descent check that no longer fires
+                raise RuntimeError("straightening did not stop")
+            children = real(w, P)
+            return None if children is None else children + [child_of(w)]
+
+        return step
+
+    for child_of in (lambda w: w, lambda w: (t,) + w):
+        monkeypatch.setattr(reduction, "rewrite_step", bad_move(child_of))
+        for word in [(Var(1), Var(0)), (t, Var(1), Var(0)), (t, t, Var(0), t)]:
+            with pytest.raises(AssertionError, match="complexity did not drop"):
+                reduce_p(word, dense_presentation(), check_descent=True)
+    monkeypatch.undo()
+    for word in [(Var(1), Var(0)), (t, t, Var(0), t)]:
+        reduce_p(word, dense_presentation(), check_descent=True)
+
+
 # ---------------------------------------------------------------------------
 # normalization identities
 
@@ -278,13 +394,14 @@ def _same_work_inputs(P):
 
 
 @pytest.mark.parametrize(
-    "name, reduce_entries, h_entries",
-    # sizes measured while letters still hashed by content, field by field
-    [("u_sl2", 256, 218), ("diffusion2", 246, 601)],
+    "name, reduce_entries, h_entries, old_reduce, old_h",
+    # the old pins were measured while the memo keys kept leading scalars
+    [("u_sl2", 152, 172, 256, 218), ("diffusion2", 110, 243, 246, 601)],
 )
-def test_straightening_work_is_pinned(name, reduce_entries, h_entries):
+def test_straightening_work_is_pinned(name, reduce_entries, h_entries, old_reduce, old_h):
     """A fresh presentation straightens the same words into memo tables of
-    the same, pinned sizes: a cheaper lookup leaves the rewriting alone."""
+    the same, pinned sizes: a cheaper lookup leaves the rewriting alone.
+    Keying the memo on words without leading scalars only shrinks them."""
     P = catalog.get(name)
     words, products = _same_work_inputs(P)
     for w in words:
@@ -293,6 +410,7 @@ def test_straightening_work_is_pinned(name, reduce_entries, h_entries):
         f, g = eval_str(a, P), eval_str(b, P)
         assert star_oracle(f, g) == star(f, g)
     assert (len(P._reduce_cache), len(P._h_cache)) == (reduce_entries, h_entries)
+    assert reduce_entries <= old_reduce and h_entries <= old_h
 
 
 def test_capped_straightening_leaves_a_pure_memo(monkeypatch):
@@ -304,7 +422,7 @@ def test_capped_straightening_leaves_a_pure_memo(monkeypatch):
     P, fresh = dense_presentation(), dense_presentation()
     Q, fresh_q = catalog.get("diffusion2"), catalog.get("diffusion2")
     f, g = eval_str("x2^3", Q), eval_str("x1^3", Q)
-    monkeypatch.setattr(reduction, "MAX_NEW_ENTRIES", 40)
+    monkeypatch.setattr(reduction, "MAX_NEW_PAIRS", 40)
     with pytest.raises(reduction.StraighteningCapError):
         reduce_p(word, P)
     with pytest.raises(reduction.StraighteningCapError):
