@@ -21,7 +21,7 @@ from .catalog import (
     jacobiator,
     lie_presentation,
 )
-from .expr import ExprError, coeff_from_str, eval_str, parse, parse_coeff
+from .expr import ExprError, coeff_from_str, eval_str, parse
 from .jsonio import (
     SchemaError,
     homspec_from_json,

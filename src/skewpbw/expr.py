@@ -15,7 +15,9 @@ than '+' and looser than '*'.  Exponents are integer literals; a negative
 exponent is accepted by the grammar but only evaluates on invertible
 constants (Laurent generators and other units), never on variables.
 
-Sums and products parse into flat nodes and a run of unary minus signs
+Each rule builds a deferred value (a thunk), and the whole input parses
+before any of it is evaluated: a syntax error costs no arithmetic.  Sums
+and products fold flat, left to right, and a run of unary minus signs
 folds into at most one negation, so long inputs need no deep recursion.
 Parentheses nest at most MAX_NESTING deep, and an exponent on a
 non-constant base must stay below EXPONENT_CAP; both limits are positioned
@@ -28,6 +30,7 @@ printing uses the positional aliases, so printed normal forms re-parse.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,62 +97,38 @@ def tokenize(src: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# syntax tree
+# parsing into deferred values
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    line: int
-    col: int
+def _fold(parts: list, op):
+    """A thunk applying ``op`` left to right over the values of ``parts``."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def value():
+        out = parts[0]()
+        for part in parts[1:]:
+            out = op(out, part())
+        return out
+
+    return value
 
 
-@dataclass(frozen=True)
-class Coeff:
-    name: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class VarRef:
-    index: int
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Sum:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-    line: int
-    col: int
+def _negated(f):
+    return lambda: -f()
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], resolve):
+    """Each rule returns a thunk: a zero-argument function computing its
+    value.  ``resolve`` maps an identifier token to a thunk or raises;
+    ``const`` maps a numeric literal to a value of the target."""
+
+    def __init__(self, tokens: list[Token], resolve, const):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
         self.resolve = resolve
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+        self.const = const
 
     def take(self) -> Token:
         tok = self.tokens[self.pos]
@@ -167,180 +146,138 @@ class _Parser:
         return tok
 
     def parse(self):
-        e = self.sum()
-        tok = self.peek()
+        value = self.sum()
+        tok = self.tokens[self.pos]
         if tok.kind != "END":
             raise ExprError(f"unexpected {tok.text!r}", tok.line, tok.col)
-        return e
+        return value
 
     def sum(self):
         items = [self.item()]
         while self.at_op("+-"):
             op = self.take()
             rhs = self.item()
-            items.append(rhs if op.text == "+" else Neg(rhs))
-        return items[0] if len(items) == 1 else Sum(tuple(items))
+            items.append(rhs if op.text == "+" else _negated(rhs))
+        return _fold(items, operator.add)
 
     def item(self):
         negate = False
         while self.at_op("-"):
             self.take()
             negate = not negate
-        e = self.product()
-        return Neg(e) if negate else e
+        value = self.product()
+        return _negated(value) if negate else value
 
     def product(self):
         factors = [self.power()]
         while self.at_op("*"):
             self.take()
             factors.append(self.power())
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+        return _fold(factors, operator.mul)
 
     def power(self):
-        e = self.atom()
-        if self.at_op("^"):
-            caret = self.take()
-            sign = 1
-            if self.at_op("-"):
-                self.take()
-                sign = -1
-            tok = self.take()
-            if tok.kind != "INT":
-                raise ExprError("exponent must be an integer literal", tok.line, tok.col)
-            e = Pow(e, sign * int(tok.text), caret.line, caret.col)
-        return e
+        base = self.atom()
+        if not self.at_op("^"):
+            return base
+        caret = self.take()
+        sign = 1
+        if self.at_op("-"):
+            self.take()
+            sign = -1
+        tok = self.take()
+        if tok.kind != "INT":
+            raise ExprError("exponent must be an integer literal", tok.line, tok.col)
+        k = sign * int(tok.text)
+        return lambda: _power(base(), k, caret)
 
     def atom(self):
         tok = self.take()
         if tok.kind == "INT":
-            value = Fraction(int(tok.text))
-            if self.at_op("/"):
-                self.take()
-                den = self.take()
-                if den.kind != "INT":
-                    raise ExprError("fraction needs an integer denominator", den.line, den.col)
-                if int(den.text) == 0:
-                    raise ExprError("zero denominator", den.line, den.col)
-                value = Fraction(int(tok.text), int(den.text))
-            return Num(value, tok.line, tok.col)
+            return self.literal(tok)
         if tok.kind == "IDENT":
             return self.resolve(tok)
         if tok.kind == "OP" and tok.text == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise ExprError(
-                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col
-                )
-            e = self.sum()
+                raise ExprError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col)
+            value = self.sum()
             self.expect_op(")")
             self.depth -= 1
-            return e
+            return value
         raise ExprError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
 
+    def literal(self, tok: Token):
+        number, at = int(tok.text), tok
+        if self.at_op("/"):
+            self.take()
+            den = self.take()
+            if den.kind != "INT":
+                raise ExprError("fraction needs an integer denominator", den.line, den.col)
+            if int(den.text) == 0:
+                raise ExprError("zero denominator", den.line, den.col)
+            number, at = Fraction(number, int(den.text)), den
 
-def _presentation_resolver(P):
-    gens = set(P.ring.generator_names())
+        def value():
+            try:
+                return self.const(number)
+            except ZeroDivisionError as e:  # a denominator divisible by p
+                raise ExprError(str(e), at.line, at.col) from None
 
-    def resolve(tok: Token):
-        name = tok.text
-        if name in P.var_names:
-            return VarRef(P.var_names.index(name), tok.line, tok.col)
-        m = POSITIONAL_RE.match(name)
-        if m and 1 <= int(m.group(1)) <= P.n:
-            return VarRef(int(m.group(1)) - 1, tok.line, tok.col)
-        if name in gens:
-            return Coeff(name, tok.line, tok.col)
-        raise ExprError(f"unknown identifier {name!r}", tok.line, tok.col)
-
-    return resolve
-
-
-def _coeff_resolver(ring: CoeffRing):
-    gens = set(ring.generator_names())
-
-    def resolve(tok: Token):
-        if tok.text in gens:
-            return Coeff(tok.text, tok.line, tok.col)
-        raise ExprError(f"unknown coefficient generator {tok.text!r}", tok.line, tok.col)
-
-    return resolve
+        return value
 
 
-def parse(src: str, P) -> object:
-    """Parse an expression over a presentation; identifiers are resolved
-    eagerly so unknown names fail with a position."""
-    return _Parser(tokenize(src), _presentation_resolver(P)).parse()
-
-
-def parse_coeff(src: str, ring: CoeffRing) -> object:
-    """Parse a coefficient-only expression (no variables)."""
-    return _Parser(tokenize(src), _coeff_resolver(ring)).parse()
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def eval_expr(e, target):
-    """Value of a parsed expression: a Poly when ``target`` is a
-    presentation, a CoeffElem when it is a coefficient ring."""
-    coeff_only = isinstance(target, CoeffRing)
-    ring = target if coeff_only else target.ring
-
-    def lift(c):
-        return c if coeff_only else Poly.const(target, c)
-
-    def value(e):
-        if isinstance(e, Num):
-            return lift(ring.from_fraction(e.value))
-        if isinstance(e, Coeff):
-            return lift(ring.generator(e.name))
-        if isinstance(e, VarRef):
-            return Poly.variable(target, e.index)
-        if isinstance(e, Neg):
-            return -value(e.arg)
-        if isinstance(e, Sum):
-            out = value(e.items[0])
-            for item in e.items[1:]:
-                out = out + value(item)
-            return out
-        if isinstance(e, Product):
-            out = value(e.factors[0])
-            for factor in e.factors[1:]:
-                out = out * value(factor)
-            return out
-        if isinstance(e, Pow):
-            return _power(value(e.base), e)
-        raise TypeError(f"not an expression node: {e!r}")
-
-    return value(e)
-
-
-def _power(base, e: Pow):
-    k = e.exponent
+def _power(base, k: int, caret: Token):
     if isinstance(base, Poly):
         if base.is_constant():
-            return Poly.const(base.pres, _power(base.constant_coeff(), e))
+            return Poly.const(base.pres, _power(base.constant_coeff(), k, caret))
         if k < 0:
-            raise ExprError("negative exponent needs an invertible constant", e.line, e.col)
-        if k >= EXPONENT_CAP:
-            raise ExprError(
-                f"exponent {k} on a non-constant base must be below {EXPONENT_CAP}",
-                e.line,
-                e.col,
-            )
-        return base**k
+            message = "negative exponent needs an invertible constant"
+        elif k >= EXPONENT_CAP:
+            message = f"exponent {k} on a non-constant base must be below {EXPONENT_CAP}"
+        else:
+            return base**k
+        raise ExprError(message, caret.line, caret.col)
     if k < 0:
         try:
             base = base.inverse()
         except NotAUnitError:
-            raise ExprError(f"{base} is not invertible", e.line, e.col) from None
+            raise ExprError(f"{base} is not invertible", caret.line, caret.col) from None
     return base ** abs(k)
 
 
+def parse(src: str, P):
+    """The deferred value of an expression over a presentation: a thunk
+    returning a Poly.  Identifiers resolve while parsing, so an unknown
+    name fails with its position before anything is evaluated."""
+    gens = set(P.ring.generator_names())
+
+    def resolve(tok: Token):
+        name = tok.text
+        m = POSITIONAL_RE.match(name)
+        if name in P.var_names:
+            i = P.var_names.index(name)
+        elif m and 1 <= int(m.group(1)) <= P.n:
+            i = int(m.group(1)) - 1
+        elif name in gens:
+            return lambda: Poly.const(P, P.ring.generator(name))
+        else:
+            raise ExprError(f"unknown identifier {name!r}", tok.line, tok.col)
+        return lambda: Poly.variable(P, i)
+
+    return _Parser(tokenize(src), resolve, lambda c: Poly.const(P, c)).parse()
+
+
 def eval_str(src: str, P) -> Poly:
-    return eval_expr(parse(src, P), P)
+    return parse(src, P)()
 
 
 def coeff_from_str(src: str, ring: CoeffRing) -> CoeffElem:
-    return eval_expr(parse_coeff(src, ring), ring)
+    """Value of a coefficient-only expression (no variables)."""
+    gens = set(ring.generator_names())
+
+    def resolve(tok: Token):
+        if tok.text in gens:
+            return lambda: ring.generator(tok.text)
+        raise ExprError(f"unknown coefficient generator {tok.text!r}", tok.line, tok.col)
+
+    return _Parser(tokenize(src), resolve, ring.from_fraction).parse()()

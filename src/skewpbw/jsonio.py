@@ -160,7 +160,10 @@ def presentation_from_json(obj: dict) -> Presentation:
     d = {}
     a = {}
     seen = set()
-    for idx, rel in enumerate(obj.get("relations", [])):
+    relations = obj.get("relations", [])
+    if not isinstance(relations, list):
+        raise SchemaError("relations: expected a list of objects")
+    for idx, rel in enumerate(relations):
         where = f"relations[{idx}]"
         _check_keys(rel, {"i", "j", "c", "d", "a"}, {"i", "j"}, where)
         if not (isinstance(rel["i"], int) and isinstance(rel["j"], int)):

@@ -6,7 +6,7 @@ representation so that element equality is semantic ring equality:
   Rationals        value is an int when the number is integral, otherwise
                    a reduced Fraction with denominator > 1.  The two
                    agree on ==, hash and str, so the choice never shows.
-  PrimeField(p)    value is an int residue in [0, p).
+  PrimeField(p)    value is an int residue in [0, p); p < PRIME_CAP.
   LaurentRing      one generator with integer exponents over Rationals or a
                    prime field; value is a sorted tuple of (exponent, coeff).
   PolyRing         multivariate polynomials over Rationals, a prime field,
@@ -348,18 +348,33 @@ class Rationals(CoeffRing):
         return "Q"
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below PRIME_CAP, the least strong pseudoprime to all 13 bases; a prime
+# field's modulus must stay below it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CAP = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Exact for p < PRIME_CAP: deterministic Miller-Rabin."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -368,6 +383,8 @@ class PrimeField(CoeffRing):
     p: int
 
     def __post_init__(self):
+        if self.p >= PRIME_CAP:
+            raise ValueError(f"prime field p must be below {PRIME_CAP}, got {self.p}")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 

@@ -11,7 +11,7 @@ from skewpbw.algebra import ExponentCapError, Poly
 from skewpbw.jsonio import presentation_to_json
 from skewpbw.catalog import StructureConstants, get, lie_presentation
 from skewpbw.presentation import MAX_VARS, Presentation
-from skewpbw.rings import QQ, LaurentRing, PolyRing, PrimeField, RingMap, SigmaDerivation
+from skewpbw.rings import PRIME_CAP, QQ, LaurentRing, PolyRing, PrimeField, RingMap, SigmaDerivation
 
 
 def run(capsys, *argv):
@@ -546,3 +546,37 @@ def test_oracle_work_cap_is_a_one_line_error(capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def _f5_file(tmp_path, **relation):
+    path = tmp_path / "f5.json"
+    rel = {"i": 1, "j": 2, **relation}
+    path.write_text(
+        json.dumps({"ring": {"kind": "prime_field", "p": 5}, "vars": ["x", "y"], "relations": [rel]})
+    )
+    return str(path)
+
+
+def test_fraction_literal_over_f_p_is_a_positioned_error(capsys, tmp_path):
+    message = "error: line 1 col {}: denominator divisible by 5\n"
+    assert run(capsys, "nf", _f5_file(tmp_path), "1/5") == (1, "", message.format(3))
+    assert run(capsys, "nf", _f5_file(tmp_path), "x + 2/10*y") == (1, "", message.format(7))
+    assert run(capsys, "check", _f5_file(tmp_path, d="1/5")) == (1, "", message.format(3))
+    # a denominator prime to p is inverted: 1/3 = 2 in F_5
+    assert run(capsys, "nf", _f5_file(tmp_path, d="1/3"), "y*x") == (0, "x1*x2 + 2\n", "")
+
+
+def test_large_prime_fields_are_decided_or_capped(capsys, tmp_path):
+    path = tmp_path / "fp.json"
+    for p, expected in [
+        (10**18 + 3, (0, "x1^2\n", "")),
+        (10**29 + 1, (1, "", f"error: prime field p must be below {PRIME_CAP}, got {10**29 + 1}\n")),
+    ]:
+        path.write_text(json.dumps({"ring": {"kind": "prime_field", "p": p}, "vars": ["x"]}))
+        assert timed_run(capsys, "nf", str(path), "x*x") == expected
+
+
+def test_whole_input_parses_before_evaluation(capsys):
+    # evaluating the product first would take far longer than the timer allows
+    expected = (1, "", "error: line 1 col 19: unexpected ')'\n")
+    assert timed_run(capsys, "nf", "catalog:weyl1", "x2^60000*x1^60000 )") == expected

@@ -72,6 +72,15 @@ def test_negative_exponent_on_units(quantum_plane):
         eval_str("(1 + q)^-1 + x1 - x1", quantum_plane)  # non-unit constant
 
 
+def test_parse_defers_evaluation(weyl1, quantum_plane):
+    value = parse("x2*x1", weyl1)
+    assert value() == eval_str("x1*x2 + 1", weyl1)
+    # errors that need values surface only when the thunk is called
+    value = parse("x1^70000 + (1 + q)^-1", quantum_plane)
+    with pytest.raises(ExprError, match="col 3: exponent 70000"):
+        value()
+
+
 def test_coeff_parsing():
     ring = PolyRing(LaurentRing(QQ, "q"), ("b", "c"))
     val = coeff_from_str("(q - q^-1)*b*c", ring)

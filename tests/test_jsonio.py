@@ -86,6 +86,13 @@ def test_relation_index_validation(quantum_plane):
         presentation_from_json(obj)
 
 
+@pytest.mark.parametrize("relations", [5, "ab", {"i": 1, "j": 2}, None])
+def test_relations_must_be_a_list(relations):
+    obj = {"ring": {"kind": "rationals"}, "vars": ["x1", "x2"], "relations": relations}
+    with pytest.raises(SchemaError, match=r"^relations: expected a list of objects$"):
+        presentation_from_json(obj)
+
+
 def test_minimal_presentation_defaults():
     P = presentation_from_json({"ring": {"kind": "rationals"}, "vars": ["x1", "x2"]})
     assert P.c_of(0, 1) == QQ.one()

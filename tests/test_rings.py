@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from skewpbw.rings import (
+    PRIME_CAP,
     LaurentRing,
     NotAUnitError,
     PolyRing,
@@ -14,6 +15,7 @@ from skewpbw.rings import (
     RingMap,
     RingMismatchError,
     SigmaDerivation,
+    _is_prime,
 )
 from skewpbw.rng import Stream
 
@@ -105,6 +107,27 @@ def test_is_prime_validation():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def _is_prime_by_trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [p for p in range(-2, 10**4) if _is_prime(p)] == [
+        p for p in range(-2, 10**4) if _is_prime_by_trial_division(p)
+    ]
+
+
+def test_is_prime_on_large_inputs():
+    # 10^18 + 3 and 2^61 - 1 are prime; 318665857834031151167461 is a strong
+    # pseudoprime to every prime base below 41, and 2^67 - 1 is composite
+    assert _is_prime(10**18 + 3) and _is_prime(2**61 - 1)
+    assert not _is_prime(318665857834031151167461) and not _is_prime(2**67 - 1)
+    assert PrimeField(10**18 + 3).from_int(-1).value == 10**18 + 2
+    for p in (PRIME_CAP, 10**29 + 1):
+        with pytest.raises(ValueError, match=f"must be below {PRIME_CAP}"):
+            PrimeField(p)
 
 
 def test_nesting_cap():
