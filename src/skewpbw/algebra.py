@@ -29,8 +29,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .rings import CoeffElem, RingMismatchError, add_terms, format_terms
-from .rng import Stream
+from .rings import CoeffElem, RingMismatchError, _add_scaled, add_terms, format_terms
 
 Monomial = tuple  # tuple[int, ...]
 
@@ -218,24 +217,6 @@ class Poly:
         return f"Poly({self})"
 
 
-def random_poly(P, stream: Stream, max_degree: int, max_terms: int = 2) -> Poly:
-    """Seeded random polynomial: 1..max_terms terms of total degree at most
-    max_degree, coefficients from ``ring.random_elem(stream, 1)``; a repeated
-    monomial keeps its last draw."""
-    terms = {}
-    for _ in range(1 + stream.below(max_terms)):
-        remaining = max_degree
-        alpha = []
-        for _ in range(P.n):
-            e = stream.below(remaining + 1) if remaining else 0
-            alpha.append(e)
-            remaining -= e
-        coeff = P.ring.random_elem(stream, 1)
-        if coeff:
-            terms[tuple(alpha)] = coeff
-    return Poly(P, terms)
-
-
 # ---------------------------------------------------------------------------
 # product engine
 
@@ -244,22 +225,6 @@ def _bump(alpha: Monomial, i: int) -> Monomial:
     if alpha[i] + 1 >= EXPONENT_CAP:
         raise ExponentCapError(f"exponent cap {EXPONENT_CAP} exceeded at slot {i}")
     return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-
-
-def _add_scaled(acc: dict, items, r, ring) -> None:
-    """acc += r * items over raw values of ``ring``, dropping zeros."""
-    mul, add, is_zero = ring._mul, ring._add, ring._is_zero
-    for alpha, c in items:
-        v = mul(r, c)
-        if is_zero(v):
-            continue
-        s = acc.get(alpha)
-        if s is not None:
-            v = add(s, v)
-            if is_zero(v):
-                del acc[alpha]
-                continue
-        acc[alpha] = v
 
 
 def _var_times_monomial(P, i: int, gamma: Monomial):

@@ -13,14 +13,14 @@ import sys
 
 from . import catalog
 from .algebra import EXPONENT_CAP, ExponentCapError, star
-from .expr import MAX_NESTING, ExprError, eval_str
+from .expr import MAX_NESTING, MAX_POWER_BITS, ExprError, eval_str
 from .jsonio import (
     SchemaError,
     load_homspec,
     load_presentation,
     presentation_to_json,
 )
-from .presentation import MAX_SAMPLES, PresentationError, check_all
+from .presentation import PresentationError, check_all
 from .reduction import star_oracle
 from .rings import NotAUnitError, RingMismatchError
 from .universal import HomSpecError, check_hom_conditions, extend_hom
@@ -35,7 +35,9 @@ GRAMMAR_NOTES = f"""expressions:
 Multiplication is noncommutative; juxtaposition is not multiplication.
 Negative exponents evaluate only on invertible constants (e.g. q^-2).
 Parentheses nest at most {MAX_NESTING} deep; an exponent on a non-constant
-base must be below {EXPONENT_CAP} (constants take any exponent).
+base must be below {EXPONENT_CAP}.  A one-term constant takes any exponent;
+a power of a constant with more terms may hold at most {MAX_POWER_BITS}
+predicted bits (terms times coefficient bits).
 Identifiers: variable names, positional aliases x1..xn, coefficient
 generators.  Presentations are file paths or catalog:NAME tokens."""
 
@@ -84,13 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the existence checks on a presentation")
     p.add_argument("presentation")
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=16,
-        help=f"draws per variable for condition 1's kernel search over F_p (0 to {MAX_SAMPLES})",
-    )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=16, help="ignored: the checks are exact")
+    p.add_argument("--seed", type=int, default=0, help="ignored: the checks are exact")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
@@ -129,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_check(args) -> int:
     P = load_presentation(args.presentation)
-    report = check_all(P, samples=args.samples, seed=args.seed)
+    report = check_all(P)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:

@@ -19,9 +19,11 @@ Each rule builds a deferred value (a thunk), and the whole input parses
 before any of it is evaluated: a syntax error costs no arithmetic.  Sums
 and products fold flat, left to right, and a run of unary minus signs
 folds into at most one negation, so long inputs need no deep recursion.
-Parentheses nest at most MAX_NESTING deep, and an exponent on a
-non-constant base must stay below EXPONENT_CAP; both limits are positioned
-errors.  Constant bases are raised to any power in the coefficient ring.
+Parentheses nest at most MAX_NESTING deep, an exponent on a non-constant
+base must stay below EXPONENT_CAP, and a constant with more than one term
+is raised only while its power's predicted size is at most
+MAX_POWER_BITS; all three limits are positioned errors.  A one-term
+constant takes any exponent.
 
 Identifiers resolve, in order, against the presentation's variable names,
 the positional aliases x1..xn, and the coefficient generators.  Canonical
@@ -30,6 +32,7 @@ printing uses the positional aliases, so printed normal forms re-parse.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -37,9 +40,11 @@ from fractions import Fraction
 
 from .algebra import EXPONENT_CAP, Poly
 from .presentation import POSITIONAL_RE
-from .rings import IDENT, NAME_RE, CoeffElem, CoeffRing, NotAUnitError
+from .rings import IDENT, NAME_RE, QQ, CoeffElem, CoeffRing, NotAUnitError, flat_terms
 
 MAX_NESTING = 100
+# a bound on terms times coefficient bits of a multi-term constant's power
+MAX_POWER_BITS = 1 << 20
 
 
 class ExprError(ValueError):
@@ -242,7 +247,28 @@ def _power(base, k: int, caret: Token):
             base = base.inverse()
         except NotAUnitError:
             raise ExprError(f"{base} is not invertible", caret.line, caret.col) from None
+    terms = flat_terms(base.ring, base.value)
+    if len(terms) > 1 and (size := _power_bits(base.ring, terms, abs(k))) > MAX_POWER_BITS:
+        message = f"power of a {len(terms)}-term constant would hold about {size:.3g} bits"
+        raise ExprError(f"{message}, above the cap of {MAX_POWER_BITS}", caret.line, caret.col)
     return base ** abs(k)
+
+
+def _power_bits(ring: CoeffRing, terms: list, k: int) -> float:
+    """A bound on terms times coefficient bits of the k-th power of the
+    sum of ``terms`` (flat_terms).  Along each generator its exponents lie
+    in k*span/step + 1 places, step the gcd of the exponent differences;
+    over Q, with D clearing denominators and S the sum of the absolute
+    numerators, each coefficient has at most k*log2(S*D) bits."""
+    count = 1
+    for col in zip(*(exps for exps, _ in terms)):
+        step = math.gcd(*(x - col[0] for x in col))
+        count *= k * (max(col) - min(col)) // step + 1 if step else 1
+    prime = ring.prime_ring()
+    if prime != QQ:
+        return count * prime.p.bit_length()
+    den = math.lcm(*(prime._denominator(x) for _, x in terms))
+    return count * k * math.log2(sum(abs(x * den) for _, x in terms) * den)
 
 
 def parse(src: str, P):

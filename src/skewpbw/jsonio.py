@@ -37,7 +37,7 @@ import json
 from pathlib import Path
 
 from . import catalog
-from .expr import coeff_from_str, eval_str
+from .expr import ExprError, coeff_from_str, eval_str
 from .algebra import Poly
 from .presentation import Presentation
 from .rings import (
@@ -120,12 +120,7 @@ def ring_to_json(ring: CoeffRing) -> dict:
 def _images_from_json(obj, ring: CoeffRing, where: str) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object mapping generators to expressions")
-    out = {}
-    for name, src in obj.items():
-        if not isinstance(src, str):
-            raise SchemaError(f"{where}.{name}: expected an expression string")
-        out[name] = coeff_from_str(src, ring)
-    return out
+    return {name: _parsed(obj[name], f"{where}.{name}", coeff_from_str, ring) for name in obj}
 
 
 def presentation_from_json(obj: dict) -> Presentation:
@@ -175,24 +170,30 @@ def presentation_from_json(obj: dict) -> Presentation:
             raise SchemaError(f"{where}: duplicate pair ({rel['i']}, {rel['j']})")
         seen.add((i, j))
         if "c" in rel:
-            c[(i, j)] = coeff_from_str(_expr_str(rel["c"], where + ".c"), ring)
+            c[(i, j)] = _parsed(rel["c"], where + ".c", coeff_from_str, ring)
         if "d" in rel:
-            d[(i, j)] = coeff_from_str(_expr_str(rel["d"], where + ".d"), ring)
+            d[(i, j)] = _parsed(rel["d"], where + ".d", coeff_from_str, ring)
         if "a" in rel:
             vec = rel["a"]
             if not isinstance(vec, list) or len(vec) != n:
                 raise SchemaError(f"{where}.a: expected a list of {n} expressions")
             for k, src in enumerate(vec):
-                val = coeff_from_str(_expr_str(src, f"{where}.a[{k}]"), ring)
+                val = _parsed(src, f"{where}.a[{k}]", coeff_from_str, ring)
                 if val:
                     a[(i, j, k)] = val
     return Presentation(ring, var_names, sigma=sigma, delta=delta, c=c, d=d, a=a)
 
 
-def _expr_str(val, where: str) -> str:
-    if not isinstance(val, str):
+def _parsed(src, where: str, evaluate, target):
+    """evaluate(src, target) for the expression string at ``where``, whose
+    path prefixes any expression error."""
+    if not isinstance(src, str):
         raise SchemaError(f"{where}: expected an expression string")
-    return val
+    try:
+        return evaluate(src, target)
+    except ExprError as e:
+        e.args = (f"{where}: {e}",)
+        raise
 
 
 def presentation_to_json(P: Presentation) -> dict:
@@ -252,13 +253,12 @@ def homspec_from_json(obj: dict, base_dir: Path | None = None) -> HomSpec:
     phi_obj = obj.get("phi", {})
     if not isinstance(phi_obj, dict):
         raise SchemaError("homspec.phi: expected an object")
-    phi = {}
-    for name, src in phi_obj.items():
-        phi[name] = Poly.const(
-            target, coeff_from_str(_expr_str(src, f"phi.{name}"), target.ring)
-        )
+    phi = {
+        name: Poly.const(target, _parsed(src, f"phi.{name}", coeff_from_str, target.ring))
+        for name, src in phi_obj.items()
+    }
     y_list = _str_list(obj["y"], "y")
-    y = tuple(eval_str(src, target) for src in y_list)
+    y = tuple(_parsed(src, f"y[{k}]", eval_str, target) for k, src in enumerate(y_list))
     return HomSpec(source, target, phi, y)
 
 

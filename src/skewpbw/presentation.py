@@ -17,14 +17,16 @@ triples).  Condition 2 quantifies over all of R, but its defect E(r) is
 additive and obeys E(rs) = sigma_j sigma_i(r) E(s) + E(r) s, so checking it
 at 1 and at each generator of R decides it exactly.  Condition 1's laws hold
 by construction for RingMap and SigmaDerivation, and injectivity is decided
-by constant images and the Jacobian criterion; only over F_p with a zero
-Jacobian is it sampled, and labelled so (docs/exactness.md).
+by constant images, the Jacobian criterion and, over F_p with a zero
+Jacobian, a kernel search by linear algebra below Perron's degree bound
+(docs/exactness.md).  Nothing here draws a random number.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .algebra import Poly
 from .reduction import h_word, normalize_h, reduce_p
@@ -33,16 +35,19 @@ from .rings import (
     QQ,
     CoeffElem,
     CoeffRing,
+    LaurentRing,
+    PolyRing,
     RingMap,
     RingMismatchError,
     SigmaDerivation,
-    _rows_independent,
+    _dependency,
+    flat_terms,
+    weighted_monomials,
 )
-from .rng import Stream
 from .words import FreeElem, Scalar, Var
 
 POSITIONAL_RE = re.compile(r"^x([0-9]+)$")
-MAX_SAMPLES = 1024  # condition 1's F_p kernel draws per variable: a cap on check_all's work
+MAX_KERNEL_WORK = 400_000  # unknowns and row entries of condition 1's kernel search over F_p
 MAX_VARS = 1000  # variables per presentation: bounds check's O(n^3) triples and dense a lists
 
 
@@ -260,8 +265,8 @@ class Condition1Item:
     endomorphism_ok: bool
     derivation_ok: bool
     nonzero_ok: bool  # no nonzero r with sigma_i(r) = 0 is known
-    injectivity: str  # "injective" | "not injective" | "no kernel element found" | "not decided"
-    injectivity_mode: str  # "structural" | "sampled" | "skipped"
+    injectivity: str  # "injective" | "not injective" | "not decided"
+    injectivity_mode: str  # "structural" | "over cap" | "skipped"
     witness: str | None = None
 
     @property
@@ -308,12 +313,8 @@ class ConsistencyReport:
 
     @property
     def overall(self) -> bool:
-        return (
-            all(it.ok for it in self.condition1)
-            and all(it.ok for it in self.c_units)
-            and all(it.ok for it in self.condition2)
-            and all(it.ok for it in self.condition3)
-        )
+        parts = (self.condition1, self.c_units, self.condition2, self.condition3)
+        return all(it.ok for items in parts for it in items)
 
     def failures(self) -> list[str]:
         out = []
@@ -369,56 +370,34 @@ class ConsistencyReport:
     def to_dict(self) -> dict:
         return {
             "presentation": self.fingerprint,
-            "condition1": [
-                {
-                    "i": it.i + 1,
-                    "endomorphism_ok": it.endomorphism_ok,
-                    "derivation_ok": it.derivation_ok,
-                    "nonzero_ok": it.nonzero_ok,
-                    "injectivity": it.injectivity,
-                    "injectivity_mode": it.injectivity_mode,
-                    "witness": it.witness,
-                }
-                for it in self.condition1
-            ],
-            "c_units": [
-                {"i": it.i + 1, "j": it.j + 1, "ok": it.ok, "value": str(it.value)}
-                for it in self.c_units
-            ],
+            "condition1": [_item_dict(it) for it in self.condition1],
+            "c_units": [_item_dict(it) for it in self.c_units],
             "condition2_mode": self.condition2_mode,
-            "condition2": [
-                {
-                    "i": it.i + 1,
-                    "j": it.j + 1,
-                    "r": str(it.r),
-                    "ok": it.ok,
-                    "lhs": str(it.lhs),
-                    "rhs": str(it.rhs),
-                }
-                for it in self.condition2
-            ],
-            "condition3": [
-                {
-                    "i": it.i + 1,
-                    "j": it.j + 1,
-                    "k": it.k + 1,
-                    "ok": it.ok,
-                    "lhs": str(it.lhs),
-                    "rhs": str(it.rhs),
-                }
-                for it in self.condition3
-            ],
+            "condition2": [_item_dict(it) for it in self.condition2],
+            "condition3": [_item_dict(it) for it in self.condition3],
             "overall": self.overall,
         }
+
+
+def _item_dict(it) -> dict:
+    """A report item's fields in order: indices 1-based, flags and text as
+    they are, ring elements and polynomials printed."""
+    out = {}
+    for f in fields(it):
+        v = getattr(it, f.name)
+        if f.name in ("i", "j", "k"):
+            v += 1
+        out[f.name] = v if isinstance(v, (int, str, type(None))) else str(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # condition 1: laws and injectivity of the structure maps
 
 
-def _injectivity(sigma: RingMap, i: int, samples: int, seed: int):
+def _injectivity(sigma: RingMap, i: int):
     """(verdict, mode, witness) for the injectivity of the twist of x_{i+1};
-    docs/exactness.md proves each structural step."""
+    docs/exactness.md proves each step."""
     ring = sigma.ring
     if sigma.is_identity():
         return "injective", "structural", None
@@ -433,28 +412,81 @@ def _injectivity(sigma: RingMap, i: int, samples: int, seed: int):
     ident = RingMap.identity(ring)
     partials = {h: SigmaDerivation.from_images(ring, ident, {h: ring.one()}) for h in names}
     jacobian = [
-        {h: x for h, d in partials.items() if (x := d.apply(sigma.image(g)))} for g in names
+        {h: x.value for h, d in partials.items() if (x := d.apply(sigma.image(g)))}
+        for g in names
     ]
-    if _rows_independent(jacobian):
+    if _dependency(jacobian, ring) is None:
         return "injective", "structural", None
     if ring.prime_ring() == QQ:
         images = ", ".join(f"sigma{i + 1}({g})" for g in names)
         witness = f"{images} are algebraically dependent (zero Jacobian)"
         return "not injective", "structural", witness
     # over F_p a zero Jacobian decides nothing (t -> t^p is injective)
-    stream = Stream(seed).split(f"injectivity:{i}")
-    for _ in range(samples):
-        r = ring.random_nonzero(stream, 2)
-        if not sigma.apply(r):
-            return "not injective", "sampled", f"sigma{i + 1}({r}) = 0"
-    return "no kernel element found", "sampled", None
+    return _kernel_search(sigma, i)
+
+
+class _OverCap(Exception):
+    pass
+
+
+def _kernel_search(sigma: RingMap, i: int):
+    """Condition 1 over F_p with a zero Jacobian, for sigma on F_p[g] or
+    F_p[q^+-1][g] with no generator sent to a constant: a kernel element
+    below Perron's bound, by linear algebra (docs/exactness.md, step 6)."""
+    ring = sigma.ring
+    us = [ring.generator(g) for g in ring.generator_names()]
+    if isinstance(ring.base, LaurentRing):
+        # sigma(q) = c*q^e with e != 0: u_q = q^sign(e), and u_t = t*u_q^N
+        # with the least N that clears negative powers of q from sigma(u_t)
+        e = sigma.image(ring.base.var).value[0][1][0][0]
+        us[0] = us[0] if e > 0 else us[0].inverse()
+        for k in range(1, len(us)):
+            low = min(x[0] for x, _ in flat_terms(ring, sigma.apply(us[k]).value))
+            us[k] = us[k] * us[0] ** max(0, -(low // abs(e)))
+    flat = PolyRing(ring.prime_ring(), ring.generator_names())
+    images = [flat._canon(dict(flat_terms(ring, sigma.apply(u).value))) for u in us]
+    weights = [max(1, *(sum(x) for x, _ in img)) for img in images]
+    work, memo = 0, {}  # memo: b -> sigma(u^b), flat
+
+    def charge(n: int) -> None:
+        nonlocal work
+        work += n
+        if work > MAX_KERNEL_WORK:
+            raise _OverCap
+
+    def rows():
+        for b in weighted_monomials(weights, math.prod(weights)):
+            # sigma(u^b) = sigma(u^(b - e_g)) * sigma(u_g), g the last nonzero slot
+            g = max((k for k, x in enumerate(b) if x), default=None)
+            if g is None:
+                memo[b] = flat._one()
+            else:
+                parent = memo[b[:g] + (b[g] - 1,) + b[g + 1 :]]
+                charge(1 + len(parent) * len(images[g]))  # bounds the row's terms
+                memo[b] = flat._mul(parent, images[g])
+            yield dict(memo[b])
+
+    try:
+        combo = _dependency(rows(), flat.base, charge)
+    except _OverCap:
+        why = f"kernel search for sigma{i + 1} passed MAX_KERNEL_WORK = {MAX_KERNEL_WORK}"
+        return "not decided", "over cap", why
+    if combo is None:
+        return "injective", "structural", None
+    fp, order = flat.base, list(memo)
+    scale = fp._neg(fp._inverse(combo[len(order) - 1]))  # -1 on the last row
+    r = ring.zero()
+    for k, c in combo.items():
+        u_b = math.prod((u**x for u, x in zip(us, order[k])), start=ring.one())
+        r = r + ring.from_int(fp._mul(scale, c)) * u_b
+    return "not injective", "structural", f"sigma{i + 1}({r}) = 0"
 
 
 def validate_structure(P: Presentation, samples: int = 16, seed: int = 0) -> ConsistencyReport:
     """Condition 1, plus unit checks on the c_ij.  The map laws hold by
     construction for RingMap and SigmaDerivation objects, so they are
-    checked by type; injectivity is decided exactly except over F_p with a
-    zero Jacobian, where ``samples`` seeded draws look for a kernel element."""
+    checked by type; injectivity is decided exactly, or reported over the
+    kernel search's cap.  ``samples`` and ``seed`` are unused."""
     report = ConsistencyReport(fingerprint=P.fingerprint)
     for i in range(P.n):
         sigma = P.sigma[i]
@@ -462,7 +494,7 @@ def validate_structure(P: Presentation, samples: int = 16, seed: int = 0) -> Con
         endo_ok = isinstance(sigma, RingMap)
         deriv_ok = isinstance(delta, SigmaDerivation) and delta.twist == sigma
         if endo_ok:
-            inj, inj_mode, witness = _injectivity(sigma, i, samples, seed)
+            inj, inj_mode, witness = _injectivity(sigma, i)
         else:
             inj, inj_mode, witness = "not decided", "skipped", f"sigma{i + 1} is not a RingMap"
         if not deriv_ok:
@@ -512,12 +544,9 @@ def decisive_coefficients(ring: CoeffRing) -> list[CoeffElem]:
 def check_all(P: Presentation, samples: int = 16, seed: int = 0) -> ConsistencyReport:
     """Run conditions 1-3; overall pass means the parameters define an
     extension.  Condition 2 is checked at 1 and at each coefficient
-    generator, which decides it for every r (docs/exactness.md); ``samples``
-    (0 to MAX_SAMPLES draws per variable) and ``seed`` drive only condition
-    1's kernel search over F_p when the Jacobian vanishes."""
-    if not 0 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must be between 0 and {MAX_SAMPLES}, got {samples}")
-    report = validate_structure(P, samples=samples, seed=seed)
+    generator, which decides it for every r (docs/exactness.md).  Nothing
+    is sampled: ``samples`` and ``seed`` are unused."""
+    report = validate_structure(P)
     report.condition2_mode = "structural"
     rs = decisive_coefficients(P.ring)
     for i in range(P.n):

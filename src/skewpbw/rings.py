@@ -30,13 +30,12 @@ the existence checker accepts these two types and no others.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
-
-from .rng import Stream
 
 
 class RingMismatchError(ValueError):
@@ -175,7 +174,9 @@ class CoeffRing:
 
     Subclasses are frozen dataclasses, so rings compare and hash by content.
     The ``_``-prefixed methods operate on raw canonical values; user code
-    goes through CoeffElem arithmetic.
+    goes through CoeffElem arithmetic.  Besides the methods below, each kind
+    implements _zero, _one, _add, _neg, _mul, _is_zero, _is_unit, _inverse,
+    _is_constant, _format and describe.
     """
 
     # -- element constructors ------------------------------------------------
@@ -205,29 +206,10 @@ class CoeffRing:
     def generator(self, name: str) -> CoeffElem:
         raise KeyError(f"{self.describe()} has no generator {name!r}")
 
-    def random_elem(self, stream: Stream, degree_bound: int = 2) -> CoeffElem:
-        return self.elem(self._random(stream, degree_bound))
-
-    def random_nonzero(self, stream: Stream, degree_bound: int = 2) -> CoeffElem:
-        for _ in range(1000):
-            e = self.random_elem(stream, degree_bound)
-            if e:
-                return e
-        raise RuntimeError("random sampling produced only zero")
-
     # -- raw value protocol --------------------------------------------------
-
-    def _zero(self):
-        raise NotImplementedError
-
-    def _one(self):
-        raise NotImplementedError
 
     def _from_fraction(self, q):
         """Raw value of a prime scalar: an int or a Fraction."""
-        raise NotImplementedError
-
-    def _add(self, a, b):
         raise NotImplementedError
 
     def _sum(self, values):
@@ -236,24 +218,6 @@ class CoeffRing:
         for v in values:
             out = self._add(out, v)
         return out
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def _is_unit(self, a) -> bool:
-        raise NotImplementedError
-
-    def _inverse(self, a):
-        raise NotImplementedError
-
-    def _is_constant(self, a) -> bool:
-        raise NotImplementedError
 
     def _denominator(self, a) -> int:
         """The least positive int n with n*a free of denominators: the lcm
@@ -267,17 +231,8 @@ class CoeffRing:
     def _term_count(self, a) -> int:
         return 1
 
-    def _format(self, a) -> str:
-        raise NotImplementedError
-
-    def _random(self, stream: Stream, degree_bound: int):
-        raise NotImplementedError
-
     def prime_ring(self) -> "CoeffRing":
         return self
-
-    def describe(self) -> str:
-        raise NotImplementedError
 
 
 def _rational(x):
@@ -340,9 +295,6 @@ class Rationals(CoeffRing):
                 "and is not printed"
             )
         return str(a)
-
-    def _random(self, stream, degree_bound):
-        return _rational(Fraction(stream.int_between(-9, 9), stream.int_between(1, 9)))
 
     def describe(self):
         return "Q"
@@ -433,9 +385,6 @@ class PrimeField(CoeffRing):
 
     def _format(self, a):
         return str(a)
-
-    def _random(self, stream, degree_bound):
-        return stream.below(self.p)
 
     def describe(self):
         return f"F_{self.p}"
@@ -607,13 +556,6 @@ class LaurentRing(_TermRing):
     def _format(self, a):
         return format_terms(self.base, (self.var,), (((e,), c) for e, c in a))
 
-    def _random(self, stream, degree_bound):
-        terms = []
-        for _ in range(1 + stream.below(3)):
-            e = stream.int_between(-degree_bound, degree_bound) if degree_bound else 0
-            terms.append(((e, self.base._random(stream, 0)),))
-        return self._sum(terms)
-
     def prime_ring(self):
         return self.base
 
@@ -702,23 +644,21 @@ class PolyRing(_TermRing):
     def _format(self, a):
         return format_terms(self.base, self.vars, a)
 
-    def _random(self, stream, degree_bound):
-        terms = []
-        for _ in range(1 + stream.below(3)):
-            remaining = degree_bound
-            exps = []
-            for _ in self.vars:
-                e = stream.below(remaining + 1) if remaining else 0
-                exps.append(e)
-                remaining -= e
-            terms.append(((tuple(exps), self.base._random(stream, degree_bound)),))
-        return self._sum(terms)
-
     def prime_ring(self):
         return self.base.prime_ring()
 
     def describe(self):
         return f"{self.base.describe()}[{', '.join(self.vars)}]"
+
+
+def flat_terms(ring: CoeffRing, v) -> list:
+    """The terms of the raw value v as (exponent vector over
+    ring.generator_names(), raw prime-field coefficient) pairs."""
+    if isinstance(ring, LaurentRing):
+        return [((e,), c) for e, c in v]
+    if isinstance(ring, PolyRing):
+        return [(inner + exps, c) for exps, b in v for inner, c in flat_terms(ring.base, b)]
+    return [((), v)] if v else []
 
 
 # ---------------------------------------------------------------------------
@@ -1003,29 +943,71 @@ class SigmaDerivation:
 
 
 # ---------------------------------------------------------------------------
-# linear independence
+# linear algebra
 
 
-def _rows_independent(rows: list[dict]) -> bool:
-    """Fraction-free elimination over an integral domain; True when the rows
-    (column -> nonzero CoeffElem) are linearly independent over the
-    coefficient ring's fraction field, equivalently over the ring itself."""
-    pivots: list[tuple] = []  # (column, row)
-    for row in rows:
-        row = dict(row)
-        for col, prow in pivots:
-            v = row.get(col)
-            if not v:
+def weighted_monomials(weights, bound: int):
+    """Exponent vectors b with sum b_i * weights[i] <= bound (weights >= 1),
+    by increasing weighted degree, lexicographically descending within one;
+    each is pushed once, from b minus one in its last nonzero slot."""
+    n = len(weights)
+    heap = [(0, (0,) * n, 0)]  # (weighted degree, negated vector, first slot to raise)
+    while heap:
+        deg, neg, start = heapq.heappop(heap)
+        yield tuple(-x for x in neg)
+        for i in range(start, n):
+            if deg + weights[i] <= bound:
+                child = neg[:i] + (neg[i] - 1,) + neg[i + 1 :]
+                heapq.heappush(heap, (deg + weights[i], child, i))
+
+
+def _add_scaled(acc: dict, items, r, ring: CoeffRing) -> None:
+    """acc += r * items over raw values of ``ring``, dropping zeros."""
+    mul, add, is_zero = ring._mul, ring._add, ring._is_zero
+    for alpha, c in items:
+        v = mul(r, c)
+        if is_zero(v):
+            continue
+        s = acc.get(alpha)
+        if s is not None:
+            v = add(s, v)
+            if is_zero(v):
+                del acc[alpha]
                 continue
-            pv = prow[col]
-            zero = pv.ring.zero()
-            row = {k: pv * row.get(k, zero) - v * prow.get(k, zero) for k in set(row) | set(prow)}
-            row = {k: x for k, x in row.items() if x}
+        acc[alpha] = v
+
+
+def _dependency(rows, ring: CoeffRing, charge=None):
+    """Fraction-free elimination of ``rows`` (column -> nonzero raw value of
+    the integral domain ``ring``) in order, up to the first row in the span
+    of those before it: then {row index k: c_k} with sum c_k * rows[k] = 0
+    and c_k != 0 at that row, else None (independent over the fraction
+    field, equivalently over ``ring``).  ``charge``, if given, is called
+    with the entries each step reads and each stored row holds."""
+    pivots: dict = {}  # least column of a stored row -> (row, its combination)
+    for k, row in enumerate(rows):
+        combo = {k: ring._one()}
+        while True:
+            # a stored row has no column below its pivot, so clearing the
+            # least pivot column first never brings back a cleared one
+            hits = [col for col in row if col in pivots]
+            if not hits:
+                break
+            col = min(hits)
+            prow, pcombo = pivots[col]
+            if charge:
+                charge(len(row) + len(prow) + len(pcombo))
+            s, t = prow[col], ring._neg(row[col])  # row <- s*row + t*prow clears col
+            row = {key: ring._mul(s, c) for key, c in row.items()}
+            combo = {key: ring._mul(s, c) for key, c in combo.items()}
+            _add_scaled(row, prow.items(), t, ring)
+            _add_scaled(combo, pcombo.items(), t, ring)
         if not row:
-            return False
-        col = sorted(row)[0]
-        pivots.append((col, row))
-    return True
+            return combo
+        if charge:
+            charge(len(row) + len(combo))
+        pivots[min(row)] = (row, combo)
+    return None
 
 
 QQ = Rationals()

@@ -1,7 +1,7 @@
-"""Deterministic pseudorandom streams for sampled checks.
+"""Deterministic pseudorandom streams for the seeded cross-checks.
 
-All probabilistic checks in this package draw from a 64-bit multiplicative
-congruential generator (Steele/Vigna multiplier 0xf1357aea2e62a9c5).  The
+No verdict of the engine draws a random number; the tests and the benchmark
+draw their inputs from a 64-bit multiplicative congruential generator (Steele/Vigna multiplier 0xf1357aea2e62a9c5).  The
 state is forced odd, giving period 2^62.  A stream is fully determined by
 its seed, and ``split`` derives an independent child stream from the parent
 state plus a label, so every call site can own its own reproducible stream.

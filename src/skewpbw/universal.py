@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 
 from .algebra import Poly, star
 from .presentation import Presentation, decisive_coefficients
-from .rings import CoeffElem, NotAUnitError, RingMap, RingMismatchError, _rows_independent
+from .rings import (
+    CoeffElem,
+    NotAUnitError,
+    RingMap,
+    RingMismatchError,
+    _dependency,
+    weighted_monomials,
+)
 
 
 class HomSpecError(ValueError):
@@ -199,28 +206,11 @@ def verify_mutual_inverse(spec: HomSpec, spec_back: HomSpec) -> bool:
 # basis images
 
 
-def _monomials_up_to(n: int, degree: int):
-    if n == 0:
-        yield ()
-        return
-    for d in range(degree + 1):
-
-        def parts(slots, total):
-            if slots == 1:
-                yield (total,)
-                return
-            for head in range(total + 1):
-                for rest in parts(slots - 1, total - head):
-                    yield (head,) + rest
-
-        yield from parts(n, d)
-
-
 def basis_images_independent(spec: HomSpec, degree: int = 3) -> bool:
     """Whether the images of the standard monomials up to the given total
     degree stay linearly independent over the coefficients in the target."""
-    rows = []
-    for alpha in _monomials_up_to(spec.source.n, degree):
-        img = spec.y_power(tuple(alpha))
-        rows.append(dict(img.terms))
-    return _rows_independent(rows)
+    rows = (
+        {a: c.value for a, c in spec.y_power(alpha).terms.items()}
+        for alpha in weighted_monomials((1,) * spec.source.n, degree)
+    )
+    return _dependency(rows, spec.target.ring) is None

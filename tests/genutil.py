@@ -6,10 +6,63 @@ from fractions import Fraction
 
 from skewpbw.algebra import Poly, star
 from skewpbw.presentation import Presentation
-from skewpbw.rings import LaurentRing, PolyRing, QQ, RingMap, SigmaDerivation
+from skewpbw.rings import LaurentRing, PolyRing, PrimeField, QQ, RingMap, SigmaDerivation
 from skewpbw.rng import Stream
 from skewpbw.universal import HomSpec
 from skewpbw.words import Scalar, Var
+
+
+def _random_value(ring, stream: Stream, degree_bound: int):
+    """Raw value of a seeded random element: 1..3 terms, exponents within
+    ``degree_bound``, rationals p/q with |p| <= 9 and 1 <= q <= 9."""
+    if ring == QQ:
+        return ring._from_fraction(Fraction(stream.int_between(-9, 9), stream.int_between(1, 9)))
+    if isinstance(ring, PrimeField):
+        return stream.below(ring.p)
+    terms = []
+    for _ in range(1 + stream.below(3)):
+        if isinstance(ring, LaurentRing):
+            e = stream.int_between(-degree_bound, degree_bound) if degree_bound else 0
+            terms.append(((e, _random_value(ring.base, stream, 0)),))
+            continue
+        remaining = degree_bound
+        exps = []
+        for _ in ring.vars:
+            e = stream.below(remaining + 1) if remaining else 0
+            exps.append(e)
+            remaining -= e
+        terms.append(((tuple(exps), _random_value(ring.base, stream, degree_bound)),))
+    return ring._sum(terms)
+
+
+def random_elem(ring, stream: Stream, degree_bound: int = 2):
+    return ring.elem(_random_value(ring, stream, degree_bound))
+
+
+def random_nonzero(ring, stream: Stream, degree_bound: int = 2):
+    for _ in range(1000):
+        e = random_elem(ring, stream, degree_bound)
+        if e:
+            return e
+    raise RuntimeError("random sampling produced only zero")
+
+
+def random_poly(P, stream: Stream, max_degree: int, max_terms: int = 2) -> Poly:
+    """Seeded random polynomial: 1..max_terms terms of total degree at most
+    max_degree, coefficients from ``random_elem(ring, stream, 1)``; a
+    repeated monomial keeps its last draw."""
+    terms = {}
+    for _ in range(1 + stream.below(max_terms)):
+        remaining = max_degree
+        alpha = []
+        for _ in range(P.n):
+            e = stream.below(remaining + 1) if remaining else 0
+            alpha.append(e)
+            remaining -= e
+        coeff = random_elem(P.ring, stream, 1)
+        if coeff:
+            terms[tuple(alpha)] = coeff
+    return Poly(P, terms)
 
 
 def scalar_pool(P, stream: Stream, extra: int = 2):
@@ -19,7 +72,7 @@ def scalar_pool(P, stream: Stream, extra: int = 2):
     for g in ring.generator_names():
         pool.append(ring.generator(g))
     for _ in range(extra):
-        pool.append(ring.random_nonzero(stream, 1))
+        pool.append(random_nonzero(ring, stream, 1))
     return pool
 
 

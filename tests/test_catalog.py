@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewpbw.algebra import Poly, random_poly, star
+from skewpbw.algebra import Poly, star
 from skewpbw.catalog import (
     StructureConstants,
     get,
@@ -15,6 +15,8 @@ from skewpbw.catalog import (
 from skewpbw.presentation import check_all, check_condition3
 from skewpbw.rings import QQ
 from skewpbw.rng import Stream
+
+from .genutil import random_poly
 
 
 def test_names_and_get():

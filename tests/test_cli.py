@@ -10,6 +10,7 @@ from skewpbw import cli, reduction
 from skewpbw.algebra import ExponentCapError, Poly
 from skewpbw.jsonio import presentation_to_json
 from skewpbw.catalog import StructureConstants, get, lie_presentation
+from skewpbw.expr import MAX_POWER_BITS
 from skewpbw.presentation import MAX_VARS, Presentation
 from skewpbw.rings import PRIME_CAP, QQ, LaurentRing, PolyRing, PrimeField, RingMap, SigmaDerivation
 
@@ -96,15 +97,11 @@ def test_check_json_output(capsys, tmp_path):
     assert [(it["i"], it["j"], it["k"]) for it in bad] == [(1, 2, 3)]
 
 
-def test_check_samples_default_and_cap(capsys):
-    default = run(capsys, "check", "catalog:quantum_plane", "--json", "--seed", "4")
-    assert default == run(
-        capsys, "check", "catalog:quantum_plane", "--json", "--seed", "4", "--samples", "16"
-    )
+def test_check_ignores_samples_and_seed(capsys):
+    default = run(capsys, "check", "catalog:quantum_plane", "--json")
     assert default[0] == 0
-    code, out, err = run(capsys, "check", "catalog:quantum_plane", "--samples", "5000")
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "1024" in err and err.count("\n") == 1
+    for args in (["--seed", "4", "--samples", "16"], ["--samples", "5000"], ["--samples", "-1"]):
+        assert run(capsys, "check", "catalog:quantum_plane", "--json", *args) == default
 
 
 def test_check_seed_determinism(capsys):
@@ -236,6 +233,21 @@ def test_constant_powers_use_the_coefficient_ring(capsys):
     for k in (70000, 5000000):
         code, out, err = timed_run(capsys, "nf", "catalog:quantum_plane", f"q^{k}")
         assert (code, out, err) == (0, f"q^{k}\n", "")
+
+
+def test_multi_term_constant_powers_are_capped(capsys):
+    code, out, err = timed_run(capsys, "nf", "catalog:quantum_plane", "(q+1)^20000")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: line 1 col 6: power of a 2-term constant")
+    assert f"cap of {MAX_POWER_BITS}" in err
+    # exponent gaps shrink the prediction: 101 terms, not 200001
+    code, out, err = timed_run(capsys, "nf", "catalog:quantum_plane", "(q^1000 + q^-1000)^100")
+    assert (code, err) == (0, "") and out.startswith("q^100000 + 100*q^98000 + ")
+    # 1001 terms of at most 1000 bits fit under the cap; 1025 * 1024 does not
+    code, out, err = run(capsys, "nf", "catalog:quantum_plane", "(q+1)^1000")
+    assert (code, err) == (0, "") and out.startswith("q^1000 + 1000*q^999 + ")
+    code, out, err = timed_run(capsys, "nf", "catalog:quantum_plane", "(q+1)^1024")
+    assert (code, out) == (1, "") and "about 1.05e+06 bits" in err
 
 
 def test_exponent_cap_on_variables(capsys):
@@ -561,7 +573,8 @@ def test_fraction_literal_over_f_p_is_a_positioned_error(capsys, tmp_path):
     message = "error: line 1 col {}: denominator divisible by 5\n"
     assert run(capsys, "nf", _f5_file(tmp_path), "1/5") == (1, "", message.format(3))
     assert run(capsys, "nf", _f5_file(tmp_path), "x + 2/10*y") == (1, "", message.format(7))
-    assert run(capsys, "check", _f5_file(tmp_path, d="1/5")) == (1, "", message.format(3))
+    expected = "error: relations[0].d: " + message.format(3)[len("error: ") :]
+    assert run(capsys, "check", _f5_file(tmp_path, d="1/5")) == (1, "", expected)
     # a denominator prime to p is inverted: 1/3 = 2 in F_5
     assert run(capsys, "nf", _f5_file(tmp_path, d="1/3"), "y*x") == (0, "x1*x2 + 2\n", "")
 

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from skewpbw.algebra import Poly, random_poly
+from skewpbw.algebra import Poly
 from skewpbw.expr import ExprError, coeff_from_str, eval_str, parse
 from skewpbw.rings import LaurentRing, PolyRing, QQ
 from skewpbw.rng import Stream
+
+from .genutil import random_elem, random_poly
 
 
 def test_parse_product(weyl1):
@@ -120,5 +122,5 @@ def test_round_trip_coefficient_texts():
     stream = Stream(61)
     for ring in rings:
         for _ in range(50):
-            x = ring.random_elem(stream, 2)
+            x = random_elem(ring, stream, 2)
             assert coeff_from_str(str(x), ring) == x, (ring.describe(), str(x))

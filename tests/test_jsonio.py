@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from skewpbw.expr import ExprError
 from skewpbw.jsonio import (
     SchemaError,
     homspec_from_json,
@@ -150,6 +151,45 @@ def test_homspec_schema_errors(tmp_path):
         homspec_from_json(
             {"source": "catalog:weyl1", "target": "catalog:weyl1", "y": ["x1", "x2"], "zz": 0}
         )
+
+
+_QT = {
+    "kind": "poly",
+    "base": {"kind": "laurent", "base": {"kind": "rationals"}, "vars": ["q"]},
+    "vars": ["t"],
+}
+
+
+@pytest.mark.parametrize(
+    "field, where",
+    [
+        ({"sigma": [{"t": "(q"}, {}]}, "sigma[0].t"),
+        ({"delta": [{}, {"q": "(q"}]}, "delta[1].q"),
+        ({"relations": [{"i": 1, "j": 2, "c": "(q"}]}, "relations[0].c"),
+        ({"relations": [{"i": 1, "j": 2, "d": "(q"}]}, "relations[0].d"),
+        ({"relations": [{"i": 1, "j": 2, "a": ["0", "(q"]}]}, "relations[0].a[1]"),
+    ],
+)
+def test_expression_errors_name_their_field(field, where):
+    obj = {"ring": _QT, "vars": ["x", "y"], **field}
+    with pytest.raises(ExprError) as err:
+        presentation_from_json(obj)
+    assert str(err.value) == f"{where}: line 1 col 3: expected ')', got ''"
+    assert (err.value.line, err.value.col) == (1, 3)
+
+
+@pytest.mark.parametrize(
+    "field, where, message",
+    [
+        ({"phi": {"q": "q^"}, "y": ["x1", "x2"]}, "phi.q", "line 1 col 3: exponent must be"),
+        ({"y": ["x1", "x2 + z"]}, "y[1]", "line 1 col 6: unknown identifier 'z'"),
+    ],
+)
+def test_homspec_expression_errors_name_their_field(field, where, message):
+    obj = {"source": "catalog:quantum_plane", "target": "catalog:quantum_plane", **field}
+    with pytest.raises(ExprError) as err:
+        homspec_from_json(obj)
+    assert str(err.value).startswith(f"{where}: {message}")
 
 
 def test_sigma_delta_round_trip_with_maps():

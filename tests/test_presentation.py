@@ -1,13 +1,15 @@
 """Parameter systems, derived mirror parameters, and the existence checker."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from skewpbw import presentation
 from skewpbw.catalog import StructureConstants, jacobiator, lie_presentation
+from skewpbw.expr import coeff_from_str
 from skewpbw.presentation import (
-    MAX_SAMPLES,
+    MAX_KERNEL_WORK,
     Presentation,
     PresentationError,
     check_all,
@@ -25,6 +27,8 @@ from skewpbw.rings import (
     SigmaDerivation,
 )
 from skewpbw.rng import Stream
+
+from .genutil import random_elem, random_nonzero
 
 
 def test_construction_validation():
@@ -196,19 +200,86 @@ def test_injectivity_over_prime_fields():
     assert (item.injectivity, item.injectivity_mode) == ("injective", "structural")
     f7 = PolyRing(PrimeField(7), ("t", "u"))
     t, u = f7.generator("t"), f7.generator("u")
-    # zero Jacobians: t -> t^7 is injective, t -> u is not; only the label is pinned
-    for images in ({"t": t**7}, {"t": u}):
-        item = validate_structure(_one_twist(f7, images), samples=16, seed=1).condition1[0]
-        assert item.injectivity_mode == "sampled"
-        assert item.injectivity in ("not injective", "no kernel element found")
-    item = validate_structure(_one_twist(f7, {"t": t**7}), samples=0).condition1[0]
-    assert (item.injectivity, item.injectivity_mode) == ("no kernel element found", "sampled")
+    laurent = PolyRing(LaurentRing(PrimeField(7), "q"), ("t",))
+    q = laurent.generator("q")
+    f5abc = PolyRing(PrimeField(5), ("a", "b", "c"))
+    frobenius = {g: f5abc.generator(g) ** 5 for g in "abc"}
+    # zero Jacobians, decided by the kernel search below Perron's bound
+    cases = [
+        (_one_twist(f7, {"t": t**7}), "injective", None),
+        (_one_twist(f7, {"t": u}), "not injective", "sigma1(t - u) = 0"),
+        (_one_twist(f5abc, frobenius), "injective", None),
+        (
+            _one_twist(laurent, {"q": q**7, "t": q**14 + q.inverse() ** 7}),
+            "not injective",
+            "sigma1(-q*t + q^3 + 1) = 0",
+        ),
+        # sigma(tq) = 1 with no constant generator image
+        (_one_twist(laurent, {"q": q, "t": q.inverse()}), "not injective", "sigma1(-q*t + 1) = 0"),
+    ]
+    for P, verdict, witness in cases:
+        item = validate_structure(P).condition1[0]
+        assert (item.injectivity, item.injectivity_mode, item.witness) == (
+            verdict,
+            "structural",
+            witness,
+        )
+        assert item.nonzero_ok == (verdict == "injective")
     # a nonzero Jacobian decides over F_p too
     item = validate_structure(_one_twist(f7, {"t": u, "u": t + u**7})).condition1[0]
     assert (item.injectivity, item.injectivity_mode) == ("injective", "structural")
 
 
-def test_samples_reach_only_the_prime_field_kernel_search(catalog_entries, monkeypatch):
+def test_kernel_search_over_the_cap_is_undecided_and_bounded(monkeypatch):
+    ring = PolyRing(PrimeField(7), ("s", "t"))
+    s, t = ring.generator("s"), ring.generator("t")
+    # Frobenius twists of dense images: the second has 703-term images, so
+    # the product of two of them would pass the cap by itself
+    frobenius = RingMap.from_images(ring, {"s": s**7, "t": t**7})
+    dense = [
+        sum(((i + 2 * j + c) % 7 or 1) * s**i * t**j for i in range(37) for j in range(37 - i))
+        for c in (1, 3)
+    ]
+    twists = [
+        {"s": (s + t + 1) ** 42, "t": (s - t + 2) ** 42},
+        {"s": frobenius.apply(dense[0]), "t": frobenius.apply(dense[1])},
+    ]
+    products = []
+    mul = PolyRing._mul
+
+    def recording_mul(self, a, b):
+        products.append(len(a) * len(b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(PolyRing, "_mul", recording_mul)
+    for images in twists:
+        start = time.perf_counter()
+        rep = check_all(_one_twist(ring, images))
+        assert time.perf_counter() - start < 5.0
+        item = rep.condition1[0]
+        assert (item.injectivity, item.injectivity_mode) == ("not decided", "over cap")
+        witness = f"kernel search for sigma1 passed MAX_KERNEL_WORK = {MAX_KERNEL_WORK}"
+        assert item.witness == witness
+        assert item.nonzero_ok and item.ok
+        assert "injectivity: not decided (over cap)" in rep.summary()
+    # a product is formed only when its cost fits under the cap
+    assert max(products) <= MAX_KERNEL_WORK
+
+
+def _prime_field_presentations():
+    f7 = PolyRing(PrimeField(7), ("t", "u"))
+    t, u = f7.generator("t"), f7.generator("u")
+    laurent = PolyRing(LaurentRing(PrimeField(3), "q"), ("t",))
+    q = laurent.generator("q")
+    return [
+        _one_twist(f7, {"t": t**7}),
+        _one_twist(f7, {"t": u}),
+        _one_twist(f7, {"t": u, "u": t + u**7}),
+        _one_twist(laurent, {"q": q**3, "t": laurent.generator("t") ** 3 + q.inverse()}),
+    ]
+
+
+def test_samples_and_seed_change_no_verdict(catalog_entries, monkeypatch):
     from .genutil import dense_presentation, qdiff_presentation
 
     draws = []
@@ -218,16 +289,24 @@ def test_samples_reach_only_the_prime_field_kernel_search(catalog_entries, monke
         return _next(self)
 
     monkeypatch.setattr(Stream, "next_u64", counting_next)
-    rational = [P for _, P in catalog_entries] + [qdiff_presentation(), dense_presentation()]
+    presentations = [P for _, P in catalog_entries] + [qdiff_presentation(), dense_presentation()]
     qst = PolyRing(QQ, ("s", "t"))
-    rational.append(_one_twist(qst, {"s": qst.generator("t")}))
-    for P in rational:
-        many = check_all(P, samples=MAX_SAMPLES, seed=5)
-        assert many.to_dict() == check_all(P, samples=0).to_dict()
-    assert draws == []
-    f7 = PolyRing(PrimeField(7), ("t", "u"))
-    check_all(_one_twist(f7, {"t": f7.generator("t") ** 7}), samples=3)
-    assert draws
+    presentations.append(_one_twist(qst, {"s": qst.generator("t")}))
+    presentations += _prime_field_presentations()
+    for P in presentations:
+        default = check_all(P).to_dict()
+        for samples, seed in ((0, 0), (1024, 5), (5000, 9), (-1, -2)):
+            assert check_all(P, samples=samples, seed=seed).to_dict() == default
+            again = validate_structure(P, samples, seed).to_dict()
+            assert again == validate_structure(P).to_dict()
+    assert draws == []  # no verdict path draws a random number
+
+
+def test_check_all_accepts_any_samples(u_sl2):
+    for P in [u_sl2] + _prime_field_presentations():
+        default = check_all(P).summary()
+        for samples in (32, 0, 1024, 1025, -1):
+            assert check_all(P, samples=samples, seed=samples).summary() == default
 
 
 def _twist_with_known_kernel(ring, stream):
@@ -287,7 +366,7 @@ def test_injectivity_cross_check_family():
             assert kernel and not sigma.apply(kernel), (k, sigma, kernel)
         else:
             draws = Stream(53).split(k)
-            rs = [ring.random_nonzero(draws, 2) for _ in range(8)]
+            rs = [random_nonzero(ring, draws, 2) for _ in range(8)]
             rs += [r * draws.choice(rs) for r in rs]
             assert all(sigma.apply(r) for r in rs), (k, sigma)
         key = (ring.describe(), item.injectivity)
@@ -295,6 +374,76 @@ def test_injectivity_cross_check_family():
     for ring in rings:
         for verdict in ("injective", "not injective"):
             assert verdicts.get((ring.describe(), verdict), 0) >= 20, verdicts
+
+
+def _prime_twist_with_known_kernel(ring, stream):
+    """A twist of F_p[s, t] or F_p[q^+-1][t] with a zero Jacobian, drawn
+    from shapes whose kernel is known by construction: (sigma, a nonzero
+    kernel element or None)."""
+    choice, p = stream.choice, ring.prime_ring().p
+    units = [x for x in (1, -1, 2) if x % p]
+    a, c, e = choice(units), choice(units), choice(units)
+    kind = stream.below(4)
+    if ring.generator_names() == ("s", "t"):
+        s, t = ring.generator("s"), ring.generator("t")
+        f = choice([ring.zero(), ring.one(), t, t * t - 2, t**3 + t])
+        if kind == 0:  # a Frobenius after a triangular automorphism
+            return RingMap.from_images(ring, {"s": (a * s + f) ** p, "t": (c * t + e) ** p}), None
+        if kind == 1:  # monomial images with exponent determinant p*m*k
+            m, n, k = 1 + stream.below(2), stream.below(3), 1 + stream.below(2)
+            return RingMap.from_images(ring, {"s": a * s ** (p * m) * t**n, "t": c * t**k}), None
+        if kind == 2:  # sigma(s) = sigma(f(t)) puts s - f(t) in the kernel
+            sigma_t = (c * t + e) ** p
+            f_at = RingMap.from_images(ring, {"t": sigma_t}).apply(f)
+            return RingMap.from_images(ring, {"s": f_at, "t": sigma_t}), s - f
+        # two powers of one h: c^pa s^pb - t^pa is in the kernel
+        h = choice([t, s + t, s * t - 1, s * s + t]) ** choice([1, p])
+        pa, pb = 1 + stream.below(2), 1 + stream.below(2)
+        return RingMap.from_images(ring, {"s": h**pa, "t": c * h**pb}), c**pa * s**pb - t**pa
+    q, t = ring.generator("q"), ring.generator("t")
+    sigma_q = a * q ** (p * choice([1, -1, 2]))
+    g = choice([ring.one(), q + 1, q.inverse(), 2 * q * q - q])
+    if kind == 0:  # a Frobenius after q -> a q^+-1, t -> c t + g(q)
+        return RingMap.from_images(ring, {"q": sigma_q, "t": (c * t + g) ** p}), None
+    if kind == 1:  # monomial images with exponent determinant k p j
+        image = c * t ** (1 + stream.below(2)) * q ** choice([-1, 0, 1])
+        return RingMap.from_images(ring, {"q": sigma_q, "t": image}), None
+    # sigma(t) = sigma(g(q)) puts t - g(q) in the kernel
+    sigma_g = RingMap.from_images(ring, {"q": sigma_q}).apply(g)
+    return RingMap.from_images(ring, {"q": sigma_q, "t": sigma_g}), t - g
+
+
+def test_prime_field_injectivity_cross_check_family():
+    """The kernel search against kernels known by construction: every
+    witness is parsed back, nonzero and killed by sigma, and every injective
+    verdict is checked at seeded nonzero coefficients."""
+    stream = Stream(59)
+    rings = []
+    for p in (2, 3, 5):
+        rings.append(PolyRing(LaurentRing(PrimeField(p), "q"), ("t",)))
+        rings.append(PolyRing(PrimeField(p), ("s", "t")))
+    verdicts = {}
+    for k in range(120):
+        ring = rings[k % len(rings)]
+        sigma, kernel = _prime_twist_with_known_kernel(ring, stream.split(k))
+        item = validate_structure(Presentation(ring, ("x",), sigma=[sigma])).condition1[0]
+        assert item.injectivity_mode == "structural", (k, sigma, item)
+        assert (item.injectivity == "not injective") == (kernel is not None), (k, sigma)
+        if kernel is not None:
+            assert kernel and not sigma.apply(kernel), (k, sigma, kernel)
+            assert item.witness.startswith("sigma1(") and item.witness.endswith(") = 0")
+            r = coeff_from_str(item.witness[len("sigma1(") : -len(") = 0")], ring)
+            assert r and not sigma.apply(r), (k, sigma, item.witness)
+        else:
+            draws = Stream(61).split(k)
+            rs = [random_nonzero(ring, draws, 2) for _ in range(8)]
+            rs += [r * draws.choice(rs) for r in rs]
+            assert all(sigma.apply(r) for r in rs), (k, sigma)
+        key = (ring.describe().count("q"), item.injectivity)
+        verdicts[key] = verdicts.get(key, 0) + 1
+    for laurent in (0, 1):
+        for verdict in ("injective", "not injective"):
+            assert verdicts.get((laurent, verdict), 0) >= 15, verdicts
 
 
 def test_condition2_r_one_always_passes(catalog_entries):
@@ -348,8 +497,8 @@ def test_condition2_additivity(catalog_entries):
         stream = Stream(211).split(name)
         i, j = 0, 1
         for _ in range(10):
-            r = P.ring.random_elem(stream, 2)
-            s = P.ring.random_elem(stream, 2)
+            r = random_elem(P.ring, stream, 2)
+            s = random_elem(P.ring, stream, 2)
             lhs_r = h_word((Var(j), Var(i), Scalar(r)), P)
             lhs_s = h_word((Var(j), Var(i), Scalar(s)), P)
             lhs_rs = h_word((Var(j), Var(i), Scalar(r + s)), P)
@@ -381,24 +530,6 @@ def test_check_all_catalog(catalog_entries):
         assert rep.condition2_mode == "structural"
         if P.n == 2:
             assert rep.condition3 == []  # no triple exists: vacuous pass
-
-
-def test_check_all_passes_samples_through(u_sl2, monkeypatch):
-    seen = []
-
-    def spy(P, samples, seed):
-        seen.append(samples)
-        return validate_structure(P, samples, seed)
-
-    monkeypatch.setattr(presentation, "validate_structure", spy)
-    for samples in (32, 0, MAX_SAMPLES):
-        assert check_all(u_sl2, samples=samples).overall
-    check_all(u_sl2)
-    assert seen == [32, 0, MAX_SAMPLES, 16]
-    for samples in (MAX_SAMPLES + 1, -1):
-        with pytest.raises(ValueError, match=f"between 0 and {MAX_SAMPLES}"):
-            check_all(u_sl2, samples=samples)
-    assert len(seen) == 4
 
 
 def test_check_all_reports_failing_triples():
@@ -439,7 +570,7 @@ def _sampled_condition2_ok(P, i, j, stream, samples=8) -> bool:
     defect that vanishes on even polynomials shows there."""
     ring = P.ring
     gens = [ring.generator(g) for g in ring.generator_names()]
-    draws = [ring.random_elem(stream, 2) for _ in range(samples)]
+    draws = [random_elem(ring, stream, 2) for _ in range(samples)]
     rs = draws + [stream.choice(gens) * stream.choice(gens) for _ in range(samples if gens else 0)]
     rs += [stream.choice(gens) * r for r in draws if gens]
     return all(check_condition2(P, i, j, r).ok for r in rs)

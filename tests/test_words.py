@@ -21,7 +21,7 @@ from skewpbw.words import (
 )
 from skewpbw.reduction import rewrite_step
 
-from .genutil import dense_presentation, random_word
+from .genutil import dense_presentation, random_elem, random_word
 
 R = QQ.from_int(3)
 S = QQ.from_int(5)
@@ -153,7 +153,7 @@ def test_scalar_letters_hash_as_their_coefficient(catalog_entries):
     for ring in rings:
         third = ring.from_fraction(Fraction(-7, 3))
         for k in range(12):
-            r = ring.random_elem(stream, 3)
+            r = random_elem(ring, stream, 3)
             if k % 2:
                 r = r * third
             a, b = Scalar(r), Scalar(coeff_from_str(str(r), ring))
