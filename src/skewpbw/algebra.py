@@ -29,7 +29,14 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .rings import CoeffElem, RingMismatchError, _add_scaled, add_terms, format_terms
+from .rings import (
+    CoeffElem,
+    RingMismatchError,
+    _add_scaled,
+    add_terms,
+    format_terms,
+    square_multiply,
+)
 
 Monomial = tuple  # tuple[int, ...]
 
@@ -186,15 +193,7 @@ class Poly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers need a nonnegative int")
-        out = Poly.one(self.pres)
-        base = self
-        while k:  # square and multiply
-            if k & 1:
-                out = star(out, base)
-            k >>= 1
-            if k:
-                base = star(base, base)
-        return out
+        return square_multiply(self, k, lambda: Poly.one(self.pres), star)
 
     def __eq__(self, other):
         other = self._coerce(other)

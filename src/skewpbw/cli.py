@@ -37,7 +37,8 @@ Negative exponents evaluate only on invertible constants (e.g. q^-2).
 Parentheses nest at most {MAX_NESTING} deep; an exponent on a non-constant
 base must be below {EXPONENT_CAP}.  A one-term constant takes any exponent;
 a power of a constant with more terms may hold at most {MAX_POWER_BITS}
-predicted bits (terms times coefficient bits).
+predicted bits (terms times coefficient bits), and take as many predicted
+steps in its last squaring (term pairs times one plus the generators).
 Identifiers: variable names, positional aliases x1..xn, coefficient
 generators.  Presentations are file paths or catalog:NAME tokens."""
 

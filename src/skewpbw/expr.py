@@ -21,9 +21,9 @@ and products fold flat, left to right, and a run of unary minus signs
 folds into at most one negation, so long inputs need no deep recursion.
 Parentheses nest at most MAX_NESTING deep, an exponent on a non-constant
 base must stay below EXPONENT_CAP, and a constant with more than one term
-is raised only while its power's predicted size is at most
-MAX_POWER_BITS; all three limits are positioned errors.  A one-term
-constant takes any exponent.
+is raised only while its power's predicted size, and the predicted work
+of its last squaring, are at most MAX_POWER_BITS; all three limits are
+positioned errors.  A one-term constant takes any exponent.
 
 Identifiers resolve, in order, against the presentation's variable names,
 the positional aliases x1..xn, and the coefficient generators.  Canonical
@@ -43,7 +43,8 @@ from .presentation import POSITIONAL_RE
 from .rings import IDENT, NAME_RE, QQ, CoeffElem, CoeffRing, NotAUnitError, flat_terms
 
 MAX_NESTING = 100
-# a bound on terms times coefficient bits of a multi-term constant's power
+# a bound on a multi-term constant's power: on its predicted size, terms
+# times coefficient bits, and on the predicted steps of its last squaring
 MAX_POWER_BITS = 1 << 20
 
 
@@ -248,27 +249,40 @@ def _power(base, k: int, caret: Token):
         except NotAUnitError:
             raise ExprError(f"{base} is not invertible", caret.line, caret.col) from None
     terms = flat_terms(base.ring, base.value)
-    if len(terms) > 1 and (size := _power_bits(base.ring, terms, abs(k))) > MAX_POWER_BITS:
-        message = f"power of a {len(terms)}-term constant would hold about {size:.3g} bits"
-        raise ExprError(f"{message}, above the cap of {MAX_POWER_BITS}", caret.line, caret.col)
+    if len(terms) > 1 and (excess := _power_excess(base.ring, terms, abs(k))):
+        raise ExprError(f"{excess} the cap of {MAX_POWER_BITS}", caret.line, caret.col)
     return base ** abs(k)
 
 
-def _power_bits(ring: CoeffRing, terms: list, k: int) -> float:
-    """A bound on terms times coefficient bits of the k-th power of the
-    sum of ``terms`` (flat_terms).  Along each generator its exponents lie
-    in k*span/step + 1 places, step the gcd of the exponent differences;
-    over Q, with D clearing denominators and S the sum of the absolute
-    numerators, each coefficient has at most k*log2(S*D) bits."""
-    count = 1
+def _power_excess(ring: CoeffRing, terms: list, k: int) -> str | None:
+    """Why the k-th power of the sum of ``terms`` (flat_terms, two or more)
+    is refused, up to the words "the cap", or None: its predicted size in
+    bits or the predicted steps of its last squaring, the largest step of
+    square and multiply, is above MAX_POWER_BITS.  docs/grammar.md derives
+    both predictions; the bounds on term counts pass the cap once k does."""
+    if k > MAX_POWER_BITS:
+        return f"exponent {k} on a {len(terms)}-term constant is above"
+    spans = []  # per generator: the exponents' span over their step
     for col in zip(*(exps for exps, _ in terms)):
         step = math.gcd(*(x - col[0] for x in col))
-        count *= k * (max(col) - min(col)) // step + 1 if step else 1
+        spans.append((max(col) - min(col)) // step if step else 0)
+
+    def count(m: int) -> int:  # at most 2^64, so every figure is a float
+        box = math.prod(m * span + 1 for span in spans)
+        return min(box, math.comb(m + len(terms) - 1, min(m, len(terms) - 1)), 1 << 64)
+
     prime = ring.prime_ring()
     if prime != QQ:
-        return count * prime.p.bit_length()
-    den = math.lcm(*(prime._denominator(x) for _, x in terms))
-    return count * k * math.log2(sum(abs(x * den) for _, x in terms) * den)
+        bits = prime.p.bit_length()
+    else:
+        den = math.lcm(*(prime._denominator(x) for _, x in terms))
+        bits = k * math.log2(sum(abs(x * den) for _, x in terms) * den)
+    what = f"power of a {len(terms)}-term constant would"
+    if (size := count(k) * bits) > MAX_POWER_BITS:
+        return f"{what} hold about {size:.3g} bits, above"
+    if (steps := count(k // 2) ** 2 * (len(spans) + 1)) > MAX_POWER_BITS:
+        return f"{what} take about {steps:.3g} steps in its last squaring, above"
+    return None
 
 
 def parse(src: str, P):

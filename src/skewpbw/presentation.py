@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field, fields
 
 from .algebra import Poly
-from .reduction import h_word, normalize_h, reduce_p
+from .reduction import h_word, normalize_h, rewrite_step
 from .rings import (
     NAME_RE,
     QQ,
@@ -438,7 +438,7 @@ def _kernel_search(sigma: RingMap, i: int):
     if isinstance(ring.base, LaurentRing):
         # sigma(q) = c*q^e with e != 0: u_q = q^sign(e), and u_t = t*u_q^N
         # with the least N that clears negative powers of q from sigma(u_t)
-        e = sigma.image(ring.base.var).value[0][1][0][0]
+        (e, *_), _ = flat_terms(ring, sigma.image(ring.base.var).value)[0]
         us[0] = us[0] if e > 0 else us[0].inverse()
         for k in range(1, len(us)):
             low = min(x[0] for x, _ in flat_terms(ring, sigma.apply(us[k]).value))
@@ -482,11 +482,11 @@ def _kernel_search(sigma: RingMap, i: int):
     return "not injective", "structural", f"sigma{i + 1}({r}) = 0"
 
 
-def validate_structure(P: Presentation, samples: int = 16, seed: int = 0) -> ConsistencyReport:
+def validate_structure(P: Presentation) -> ConsistencyReport:
     """Condition 1, plus unit checks on the c_ij.  The map laws hold by
     construction for RingMap and SigmaDerivation objects, so they are
     checked by type; injectivity is decided exactly, or reported over the
-    kernel search's cap.  ``samples`` and ``seed`` are unused."""
+    kernel search's cap."""
     report = ConsistencyReport(fingerprint=P.fingerprint)
     for i in range(P.n):
         sigma = P.sigma[i]
@@ -515,9 +515,10 @@ def validate_structure(P: Presentation, samples: int = 16, seed: int = 0) -> Con
 
 def _two_orders(P: Presentation, head: tuple, last) -> tuple[bool, Poly, Poly]:
     """Normal form of the word head + (last,) along the rightmost-first
-    reduction order, against straightening ``head`` first; (equal, lhs, rhs)."""
+    reduction order, against straightening ``head`` first; (equal, lhs, rhs).
+    One move straightens the pair x_j x_i (i < j) into distinct words."""
     lhs = h_word(head + (last,), P)
-    rhs = normalize_h(reduce_p(head, P).concat(FreeElem.from_word((last,))), P)
+    rhs = normalize_h(FreeElem({w + (last,): 1 for w in rewrite_step(head, P)}), P)
     return lhs == rhs, lhs, rhs
 
 

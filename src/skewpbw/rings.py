@@ -19,8 +19,10 @@ stored, so the zero element of the structured kinds is the empty tuple.
 
 Maps fixed by generator images have one evaluator, RingMap.apply, which
 extends the images additively and multiplicatively, one tower layer at a
-time (with a bounded memo of image powers).  The twists are RingMaps of a ring into itself, and the
-coefficient map of a homomorphism seed is a RingMap into the target's ring.
+time.  One loop, square_multiply, takes every power: of ring values, of
+generator images and of polynomials.  The twists are RingMaps of a ring
+into itself, and a homomorphism seed's coefficient map is one into the
+target's ring.
 A twisted derivation (SigmaDerivation) d is the corner entry of the RingMap
 r |-> [[twist(r), d(r)], [0, r]] into upper-triangular matrices, which is
 multiplicative exactly when d obeys the twisted Leibniz rule.  The
@@ -175,8 +177,9 @@ class CoeffRing:
     Subclasses are frozen dataclasses, so rings compare and hash by content.
     The ``_``-prefixed methods operate on raw canonical values; user code
     goes through CoeffElem arithmetic.  Besides the methods below, each kind
-    implements _zero, _one, _add, _neg, _mul, _is_zero, _is_unit, _inverse,
-    _is_constant, _format and describe.
+    has _zero, _one, _add, _neg, _mul, _is_zero, _is_unit, _inverse,
+    _is_constant, _format and describe; the two fields share theirs in
+    _Field, and the two term rings theirs in _TermRing.
     """
 
     # -- element constructors ------------------------------------------------
@@ -190,11 +193,10 @@ class CoeffRing:
     def one(self) -> CoeffElem:
         return self.elem(self._one())
 
-    def from_int(self, k: int) -> CoeffElem:
-        return self.elem(self._from_fraction(k))
-
     def from_fraction(self, q: Fraction) -> CoeffElem:
         return self.elem(self._from_fraction(q))
+
+    from_int = from_fraction
 
     def generator_names(self) -> tuple[str, ...]:
         return ()
@@ -243,14 +245,28 @@ def _rational(x):
     return x.numerator
 
 
-@dataclass(frozen=True, slots=True)
-class Rationals(CoeffRing):
+class _Field(CoeffRing):
+    """What Rationals and PrimeField share: raw values are numbers, every
+    one of them a constant, and every nonzero one a unit."""
+
     def _zero(self):
         return 0
 
     def _one(self):
         return 1
 
+    def _is_zero(self, a):
+        return a == 0
+
+    def _is_unit(self, a):
+        return a != 0
+
+    def _is_constant(self, a):
+        return True
+
+
+@dataclass(frozen=True, slots=True)
+class Rationals(_Field):
     def _from_fraction(self, q):
         return _rational(q)
 
@@ -265,19 +281,10 @@ class Rationals(CoeffRing):
         p = a * b
         return p if type(p) is int else _rational(p)
 
-    def _is_zero(self, a):
-        return a == 0
-
-    def _is_unit(self, a):
-        return a != 0
-
     def _inverse(self, a):
         if a == 0:
             raise NotAUnitError("0 has no inverse")
         return _rational(Fraction(1, a))
-
-    def _is_constant(self, a):
-        return True
 
     def _denominator(self, a):
         return 1 if type(a) is int else a.denominator
@@ -331,7 +338,7 @@ def _is_prime(p: int) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class PrimeField(CoeffRing):
+class PrimeField(_Field):
     p: int
 
     def __post_init__(self):
@@ -339,12 +346,6 @@ class PrimeField(CoeffRing):
             raise ValueError(f"prime field p must be below {PRIME_CAP}, got {self.p}")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-
-    def _zero(self):
-        return 0
-
-    def _one(self):
-        return 1
 
     def _from_fraction(self, q):
         if isinstance(q, int):
@@ -363,19 +364,10 @@ class PrimeField(CoeffRing):
     def _mul(self, a, b):
         return (a * b) % self.p
 
-    def _is_zero(self, a):
-        return a == 0
-
-    def _is_unit(self, a):
-        return a != 0
-
     def _inverse(self, a):
         if a == 0:
             raise NotAUnitError("0 has no inverse")
         return pow(a, self.p - 2, self.p)
-
-    def _is_constant(self, a):
-        return True
 
     def _denominator(self, a):
         return 1
@@ -442,10 +434,32 @@ def format_terms(ring: CoeffRing, names, terms) -> str:
 
 class _TermRing(CoeffRing):
     """Raw values shared by LaurentRing and PolyRing: sorted tuples of
-    (exponent key, nonzero base value) pairs."""
+    (exponent key, nonzero base value) pairs.  Each kind gives the key of
+    its constant term, _const_key."""
 
     def _zero(self):
         return ()
+
+    def _one(self):
+        return ((self._const_key(), self.base._one()),)
+
+    def _from_fraction(self, q):
+        v = self.base._from_fraction(q)
+        return () if self.base._is_zero(v) else ((self._const_key(), v),)
+
+    def _is_constant(self, a):
+        zero = self._const_key()
+        return all(key == zero and self.base._is_constant(c) for key, c in a)
+
+    def _inverse(self, a):
+        if not self._is_unit(a):
+            raise NotAUnitError(f"{self._format(a)} is not a unit of {self.describe()}")
+        # a unit is c*q^e in a Laurent ring, a constant in a polynomial ring
+        ((key, c),) = a
+        return ((-key if type(key) is int else key, self.base._inverse(c)),)
+
+    def prime_ring(self):
+        return self.base.prime_ring()
 
     def _canon(self, d: dict):
         """The value of a term dict: zero coefficients dropped, keys sorted.
@@ -504,12 +518,8 @@ class LaurentRing(_TermRing):
             raise ValueError("Laurent base must be Rationals or a prime field")
         _check_name(self.var)
 
-    def _one(self):
-        return ((0, self.base._one()),)
-
-    def _from_fraction(self, q):
-        v = self.base._from_fraction(q)
-        return () if self.base._is_zero(v) else ((0, v),)
+    def _const_key(self):
+        return 0
 
     def generator_names(self):
         return (self.var,)
@@ -544,20 +554,8 @@ class LaurentRing(_TermRing):
     def _is_unit(self, a):
         return len(a) == 1 and self.base._is_unit(a[0][1])
 
-    def _inverse(self, a):
-        if not self._is_unit(a):
-            raise NotAUnitError(f"{self._format(a)} is not a unit of {self.describe()}")
-        e, c = a[0]
-        return ((-e, self.base._inverse(c)),)
-
-    def _is_constant(self, a):
-        return all(e == 0 for e, _ in a)
-
     def _format(self, a):
         return format_terms(self.base, (self.var,), (((e,), c) for e, c in a))
-
-    def prime_ring(self):
-        return self.base
 
     def describe(self):
         return f"{self.base.describe()}[{self.var}^+-1]"
@@ -582,13 +580,8 @@ class PolyRing(_TermRing):
         if set(names) & set(self.base.generator_names()):
             raise ValueError("polynomial generators collide with base generators")
 
-    def _one(self):
-        return (((0,) * len(self.vars), self.base._one()),)
-
-    def _from_fraction(self, q):
-        v = self.base._from_fraction(q)
-        zero = (0,) * len(self.vars)
-        return () if self.base._is_zero(v) else ((zero, v),)
+    def _const_key(self):
+        return (0,) * len(self.vars)
 
     def generator_names(self):
         return self.base.generator_names() + self.vars
@@ -601,8 +594,7 @@ class PolyRing(_TermRing):
             exps = tuple(1 if v == name else 0 for v in self.vars)
             return self.elem(((exps, self.base._one()),))
         inner = self.base.generator(name)  # raises KeyError when unknown
-        zero = (0,) * len(self.vars)
-        return self.elem(((zero, inner.value),))
+        return self.elem(((self._const_key(), inner.value),))
 
     def _mul(self, a, b):
         if len(a) == 1 == len(b):  # the base is a domain: no zero product
@@ -624,17 +616,6 @@ class PolyRing(_TermRing):
             and self.base._is_unit(a[0][1])
         )
 
-    def _inverse(self, a):
-        if not self._is_unit(a):
-            raise NotAUnitError(f"{self._format(a)} is not a unit of {self.describe()}")
-        exps, c = a[0]
-        return ((exps, self.base._inverse(c)),)
-
-    def _is_constant(self, a):
-        return all(
-            all(e == 0 for e in exps) and self.base._is_constant(c) for exps, c in a
-        )
-
     def _term_count(self, a):
         # a lone constant term prints as its base value, itself maybe a sum
         if len(a) == 1 and not any(a[0][0]):
@@ -643,9 +624,6 @@ class PolyRing(_TermRing):
 
     def _format(self, a):
         return format_terms(self.base, self.vars, a)
-
-    def prime_ring(self):
-        return self.base.prime_ring()
 
     def describe(self):
         return f"{self.base.describe()}[{', '.join(self.vars)}]"
@@ -665,20 +643,25 @@ def flat_terms(ring: CoeffRing, v) -> list:
 # structure maps
 
 
-def _raw_pow(ring: CoeffRing, v, e: int):
-    """Raw value of v**e in ``ring``, by square and multiply; a negative e
-    inverts v first (NotAUnitError when v is not a unit)."""
-    if e < 0:
-        v = ring._inverse(v)
-        e = -e
-    out = ring._one()
+def square_multiply(v, e: int, one, mul):
+    """v**e for an int e >= 0 by square and multiply, with ``mul`` the
+    product: ``one()`` when e is 0, and otherwise no product with it."""
+    out = None
     while e:
         if e & 1:
-            out = ring._mul(out, v)
+            out = v if out is None else mul(out, v)
         e >>= 1
         if e:
-            v = ring._mul(v, v)
-    return out
+            v = mul(v, v)
+    return one() if out is None else out
+
+
+def _raw_pow(ring: CoeffRing, v, e: int):
+    """Raw value of v**e in ``ring``; a negative e inverts v first
+    (NotAUnitError when v is not a unit)."""
+    if e < 0:
+        v, e = ring._inverse(v), -e
+    return square_multiply(v, e, ring._one, ring._mul)
 
 
 @dataclass(frozen=True, slots=True)
@@ -743,42 +726,40 @@ class RingMap:
     extension is not defined on negative powers.  Generator-free rings
     (Q, F_p) admit only the canonical map, which is forced.
 
-    ``_ladder`` memoises raw image powers image(g)**(sign * 2**k), at most
-    one per generator, sign and bit; it takes no part in equality, hashing
-    or printing.  ``_coeff`` is the map restricted to the coefficient layer
-    ``ring.base``.  It lands in ``target.base`` when the base generators go
-    to constants of a polynomial target, else in ``target`` itself, and it
-    shares the ladder, whose generator names are distinct across layers.
+    Both derived fields are set on construction and take no part in
+    equality or hashing.  ``_identity`` holds when the target is the ring
+    and every image is its generator.  ``_coeff`` is the map restricted to
+    the coefficient layer ``ring.base``; it lands in ``target.base`` when
+    the base generators go to constants of a polynomial target, else in
+    ``target`` itself.
     """
 
     ring: CoeffRing
     images: tuple[tuple[str, CoeffElem], ...]
     target: CoeffRing
-    _identity: bool = field(compare=False, default=False)
-    _ladder: dict = field(compare=False, repr=False, default_factory=dict)
-    _coeff: "RingMap | None" = field(compare=False, repr=False, default=None)
+    _identity: bool = field(init=False, compare=False)
+    _coeff: "RingMap | None" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ring, target = self.ring, self.target
-        if self._identity or not ring.generator_names():
-            return
-        below = ring.base.generator_names()
-        images = {g: img for g, img in self.images if g in below}
-        layer = target
-        if isinstance(target, PolyRing) and all(
-            len(img.value) == 1 and not any(img.value[0][0]) for img in images.values()
-        ):
-            layer = target.base
-            images = {g: layer.elem(img.value[0][1]) for g, img in images.items()}
-        fixed = all(img == ring.base.generator(g) for g, img in images.items())
-        identity = layer == ring.base and fixed
-        coeff = RingMap(ring.base, tuple(images.items()), layer, identity, self._ladder)
+        identity = target == ring and all(img == ring.generator(g) for g, img in self.images)
+        object.__setattr__(self, "_identity", identity)
+        coeff = None
+        if not identity and ring.generator_names():
+            # the images of the base generators come first, in order
+            images = dict(self.images[: len(ring.base.generator_names())])
+            layer = target
+            if isinstance(target, PolyRing) and all(
+                len(img.value) == 1 and not any(img.value[0][0]) for img in images.values()
+            ):
+                layer = target.base
+                images = {g: layer.elem(img.value[0][1]) for g, img in images.items()}
+            coeff = RingMap(ring.base, tuple(images.items()), layer)
         object.__setattr__(self, "_coeff", coeff)
 
     @classmethod
     def identity(cls, ring: CoeffRing) -> "RingMap":
-        images = tuple((g, ring.generator(g)) for g in ring.generator_names())
-        return cls(ring, images, ring, True)
+        return cls(ring, tuple((g, ring.generator(g)) for g in ring.generator_names()), ring)
 
     @classmethod
     def from_images(
@@ -794,8 +775,7 @@ class RingMap:
                 raise NotAUnitError(
                     f"image of invertible generator {g} must be a unit, got {img}"
                 )
-        identity = target == ring and all(img == ring.generator(g) for g, img in full)
-        return cls(ring, full, target, identity)
+        return cls(ring, full, target)
 
     def image(self, name: str) -> CoeffElem:
         for g, img in self.images:
@@ -805,34 +785,6 @@ class RingMap:
 
     def is_identity(self) -> bool:
         return self._identity
-
-    def _power(self, name: str, e: int):
-        """Raw value of image(name)**e: the product of the ladder entries
-        image(name)**(sign * 2**k) over the set bits k of |e|, each entry
-        squared from the one below it the first time it is needed."""
-        target = self.target
-        ladder = self._ladder
-        sign = -1 if e < 0 else 1
-        e = abs(e)
-        out = rung = None
-        k = 0
-        while e:
-            key = (name, sign, k)
-            nxt = ladder.get(key)
-            if nxt is None:
-                if k:
-                    nxt = target._mul(rung, rung)
-                else:
-                    nxt = self.image(name).value
-                    if sign < 0:
-                        nxt = target._inverse(nxt)
-                ladder[key] = nxt
-            rung = nxt
-            if e & 1:
-                out = rung if out is None else target._mul(out, rung)
-            e >>= 1
-            k += 1
-        return target._one() if out is None else out
 
     def apply(self, r: CoeffElem) -> CoeffElem:
         """The image of r in the target."""
@@ -852,11 +804,11 @@ class RingMap:
         ring, target, coeff = self.ring, self.target, self._coeff
         if coeff is None:  # a prime field: the canonical map
             return target._from_fraction(v)
-        mul, power, layer = target._mul, self._power, coeff.target
+        mul, layer = target._mul, coeff.target
         lifted = layer is not target  # coeff lands in target.base
         laurent = isinstance(ring, LaurentRing)
-        names = (ring.var,) if laurent else ring.vars
-        zero = (0,) * len(target.vars) if lifted else None
+        tops = [img.value for _, img in self.images[len(coeff.images) :]]
+        zero = target._const_key() if lifted else None
         out = []
         for key, c in v:
             a = coeff._eval(c)
@@ -865,9 +817,9 @@ class RingMap:
                     continue
                 a = ((zero, a),)
             p = None
-            for g, e in zip(names, (key,) if laurent else key):
+            for img, e in zip(tops, (key,) if laurent else key):
                 if e:
-                    f = power(g, e)
+                    f = _raw_pow(target, img, e)
                     p = f if p is None else mul(p, f)
             out.append(a if p is None else mul(p, a))
         return target._sum(out)
@@ -899,9 +851,7 @@ class SigmaDerivation:
 
     @classmethod
     def zero(cls, ring: CoeffRing, twist: RingMap | None = None) -> "SigmaDerivation":
-        if twist is None:
-            twist = RingMap.identity(ring)
-        return cls(ring, twist, tuple((g, ring.zero()) for g in ring.generator_names()))
+        return cls.from_images(ring, RingMap.identity(ring) if twist is None else twist, {})
 
     @classmethod
     def from_images(

@@ -135,11 +135,11 @@ class HomReport:
         return "\n".join(lines)
 
 
-def check_hom_conditions(spec: HomSpec, samples: int = 16, seed: int = 0) -> HomReport:
+def check_hom_conditions(spec: HomSpec, samples: int = 16) -> HomReport:
     """Condition (i) at 1 and at each source coefficient generator, which
     decides it for every coefficient (docs/exactness.md); condition (ii)
-    exhaustively over variable pairs.  ``samples`` and ``seed`` are accepted
-    for compatibility and unused."""
+    exhaustively over variable pairs.  ``samples`` is accepted for
+    compatibility and unused."""
     report = HomReport()
     src = spec.source
     rs = decisive_coefficients(src.ring)

@@ -245,7 +245,7 @@ def test_criterion_8_universal_property():
     H = catalog.get("u_heisenberg")
     W = catalog.get("weyl", 1)
     spec = HomSpec(H, W, {}, (Poly.variable(W, 1), Poly.variable(W, 0), Poly.one(W)))
-    assert check_hom_conditions(spec, samples=16, seed=7).ok
+    assert check_hom_conditions(spec, samples=16).ok
 
     stream = Stream(8001)
     for _ in range(200):
@@ -256,7 +256,7 @@ def test_criterion_8_universal_property():
 
     for name, P in catalog.all_presentations():
         ident = identity_spec(P)
-        assert check_hom_conditions(ident, samples=4, seed=3).ok
+        assert check_hom_conditions(ident, samples=4).ok
         assert verify_mutual_inverse(ident, ident), name
     _verdict(8, "universal property", f"[{time.time()-t0:.1f}s]")
 

@@ -243,11 +243,40 @@ def test_multi_term_constant_powers_are_capped(capsys):
     # exponent gaps shrink the prediction: 101 terms, not 200001
     code, out, err = timed_run(capsys, "nf", "catalog:quantum_plane", "(q^1000 + q^-1000)^100")
     assert (code, err) == (0, "") and out.startswith("q^100000 + 100*q^98000 + ")
-    # 1001 terms of at most 1000 bits fit under the cap; 1025 * 1024 does not
+    # 1001 terms of at most 1000 bits fit under the cap, and so do 501^2 * 2
+    # steps of the last squaring; 1025 * 1024 bits do not
     code, out, err = run(capsys, "nf", "catalog:quantum_plane", "(q+1)^1000")
     assert (code, err) == (0, "") and out.startswith("q^1000 + 1000*q^999 + ")
     code, out, err = timed_run(capsys, "nf", "catalog:quantum_plane", "(q+1)^1024")
     assert (code, out) == (1, "") and "about 1.05e+06 bits" in err
+
+
+def test_constant_powers_are_capped_by_their_work(capsys, tmp_path):
+    """A power under the size cap whose squarings would cost seconds is
+    refused at its caret before any arithmetic, and so is any exponent past
+    the cap; a cheaper power of the same base is computed."""
+
+    def ring_file(name, base, gens):
+        path = tmp_path / f"{name}.json"
+        ring = {"kind": "poly", "base": base, "vars": gens}
+        path.write_text(json.dumps({"ring": ring, "vars": ["x"]}))
+        return str(path)
+
+    f10007 = ring_file("f10007", {"kind": "prime_field", "p": 10007}, ["s", "t", "u"])
+    f7 = ring_file("f7", {"kind": "prime_field", "p": 7}, ["s", "t"])
+    refused = [
+        (f10007, "(s+t+u+1)^40", "take about 1.25e+07 steps in its last squaring"),
+        (f10007, "(s+t+u+1)^30", "take about 2.66e+06 steps in its last squaring"),
+        (f7, "(s+t+1)^342", "take about 6.64e+08 steps in its last squaring"),
+        ("catalog:quantum_plane", f"(q+1)^{10**400}", f"exponent {10**400} on a 2-term constant"),
+    ]
+    for where, expr, why in refused:
+        code, out, err = timed_run(capsys, "nf", where, expr)
+        assert (code, out) == (1, "") and err.count("\n") == 1, expr
+        assert err.startswith(f"error: line 1 col {expr.index('^') + 1}: ") and why in err, err
+        assert err.endswith(f" the cap of {MAX_POWER_BITS}\n")
+    code, out, err = timed_run(capsys, "nf", f10007, "(s+t+u+1)^20")
+    assert (code, err) == (0, "") and out.startswith("s^20 + 20*s^19*t + 20*s^19*u + ")
 
 
 def test_exponent_cap_on_variables(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewpbw.algebra import Poly
 from skewpbw.rings import (
     PRIME_CAP,
     LaurentRing,
@@ -16,6 +17,9 @@ from skewpbw.rings import (
     RingMismatchError,
     SigmaDerivation,
     _is_prime,
+    _raw_pow,
+    _Triangular,
+    square_multiply,
 )
 from skewpbw.rng import Stream
 
@@ -511,10 +515,21 @@ def test_derivation_of_generator_powers_matches_linear_sum():
                 assert got == _d_power_oracle(delta, g, e), (ring.describe(), g, e)
 
 
-def test_power_memo_is_bounded_and_invisible():
-    """The ladder memo of a twist, of a coefficient map into another ring and
-    of a derivation's triangular-matrix map stays bounded and takes no part
-    in equality, hashing or printing."""
+def _slots(m):
+    """Every slot of a map, and of the maps it holds, by identity."""
+    out = []
+    for name in type(m).__slots__:
+        v = getattr(m, name)
+        out.append((name, id(v)))
+        if isinstance(v, RingMap):
+            out.extend(_slots(v))
+    return out
+
+
+def test_map_evaluation_leaves_no_state():
+    """A twist, a coefficient map into another ring and a derivation's
+    triangular-matrix map keep no memo: evaluation changes none of their
+    slots, and they compare, hash and print as freshly built ones."""
     qb, b, c = QM2.generator("q"), QM2.generator("b"), QM2.generator("c")
     mq, mt = MIXED.generator("q"), MIXED.generator("t")
     images = {"q": qb**-1, "b": qb * c + b, "c": b * c}
@@ -524,27 +539,112 @@ def test_power_memo_is_bounded_and_invisible():
     def sigma():
         return RingMap.from_images(QM2, images)
 
-    cases = [  # (build the map, the RingMap holding its memo, independent value at r)
-        (sigma, lambda m: m, _sigma_oracle),
-        (lambda: RingMap.from_images(QM2, phi_images, MIXED), lambda m: m, _sigma_oracle),
-        (
-            lambda: SigmaDerivation.from_images(QM2, sigma(), derivation),
-            lambda d: d._matrix,
-            _delta_oracle,
-        ),
+    cases = [  # (build the map, independent value at r)
+        (sigma, _sigma_oracle),
+        (lambda: RingMap.from_images(QM2, phi_images, MIXED), _sigma_oracle),
+        (lambda: SigmaDerivation.from_images(QM2, sigma(), derivation), _delta_oracle),
     ]
-    for build, memo_holder, oracle in cases:
+    for build, oracle in cases:
         m, fresh = build(), build()
+        assert not hasattr(m, "__dict__")
+        before = _slots(m)
         for e in (37, -37, 5, -2, 1):
             r = qb**e * b ** abs(e) * c ** (abs(e) % 7)
             assert m.apply(r) == oracle(m, r)
-        # one entry per generator, sign and bit: 37 < 2^6
-        ladder = memo_holder(m)._ladder
-        assert ladder
-        for g, sign, k in ladder:
-            assert g in QM2.generator_names() and sign in (1, -1) and 0 <= k < 6
-            assert sign == 1 or g == "q"
+        assert _slots(m) == before
         assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+
+
+def _every_kind_of_value():
+    """(ring, raw unit, raw non-unit) over every ring kind, the triangular
+    matrices included."""
+    q, t = MIXED.generator("q"), MIXED.generator("t")
+    tri = _Triangular(MIXED)
+    return [
+        (QQ, Fraction(-2, 3), 0),
+        (F5, 3, 0),
+        (QT, QT.from_int(5).value, (QT.generator("t") + 1).value),
+        (LQ, (2 * LQ.generator("q") ** -3).value, (LQ.generator("q") + 1).value),
+        (MIXED, (-(q**2)).value, (q * t + q**-1).value),
+        (QM2, (3 * QM2.generator("q")).value, (QM2.generator("b") - 1).value),
+        (tri, ((2 * q).value, (t + 1).value, q.value), ((t + q).value, t.value, (q - 1).value)),
+    ]
+
+
+def test_square_multiply_agrees_with_repeated_products(quantum_plane):
+    for ring, unit, non_unit in _every_kind_of_value():
+        for v in (unit, non_unit):
+            expected = ring._one()
+            for e in range(41):
+                assert square_multiply(v, e, ring._one, ring._mul) == expected, (ring, v, e)
+                assert _raw_pow(ring, v, e) == expected
+                expected = ring._mul(expected, v)
+        inverse = ring._inverse(unit)
+        assert ring._mul(_raw_pow(ring, unit, -7), _raw_pow(ring, unit, 7)) == ring._one()
+        assert _raw_pow(ring, unit, -3) == ring._mul(ring._mul(inverse, inverse), inverse)
+        with pytest.raises(NotAUnitError):
+            _raw_pow(ring, non_unit, -1)
+    with pytest.raises(NotAUnitError):
+        QQ.zero() ** -2
+    calls = []
+
+    def product(f, g):
+        calls.append(1)
+        return f * g
+
+    x = Poly.variable(quantum_plane, 1) + quantum_plane.ring.generator("q")
+    expected = Poly.one(quantum_plane)
+    for e in range(41):
+        calls.clear()
+        assert x**e == expected == square_multiply(x, e, lambda: expected, product)
+        # squarings plus one product per further set bit; none with 1
+        assert len(calls) == max(0, e.bit_length() - 1 + bin(e).count("1") - 1)
+        expected = expected * x
+
+
+def test_identity_is_decided_from_the_images():
+    """is_identity() holds exactly for generator images into the same ring,
+    however the map was built, and on every coefficient sub-map."""
+    q, b, c = QM2.generator("q"), QM2.generator("b"), QM2.generator("c")
+    swap = {"b": c, "c": b}
+    for ring in ALL_RINGS + [QM2]:
+        names = ring.generator_names()
+        own = {g: ring.generator(g) for g in names}
+        assert RingMap.identity(ring).is_identity()
+        assert RingMap.from_images(ring, {}).is_identity()
+        assert RingMap.from_images(ring, own).is_identity()
+        assert RingMap(ring, tuple(own.items()), ring).is_identity()
+        if names:
+            g = names[-1]
+            moved = RingMap.from_images(ring, {g: 2 * ring.generator(g)})
+            assert not moved.is_identity()
+    into = PolyRing(LaurentRing(QQ, "q"), ("b", "c", "d"))
+    wider = RingMap.from_images(QM2, {g: into.generator(g) for g in ("q", "b", "c")}, into)
+    assert not wider.is_identity()
+    # the q-layer is fixed: its sub-map is the identity, the top map is not
+    fixed_q = RingMap.from_images(QM2, swap)
+    assert not fixed_q.is_identity() and fixed_q._coeff.is_identity()
+    moved_q = RingMap.from_images(QM2, {"q": q**-1})
+    assert not moved_q.is_identity() and not moved_q._coeff.is_identity()
+    assert moved_q._coeff == RingMap.from_images(QM2.base, {"q": QM2.base.generator("q") ** -1})
+    # a sub-map into another ring is never the identity
+    mq, mt = MIXED.generator("q"), MIXED.generator("t")
+    phi = RingMap.from_images(QM2, {"q": mq, "b": mt, "c": MIXED.one()}, MIXED)
+    assert not phi.is_identity() and phi._coeff.target == MIXED.base and phi._coeff.is_identity()
+    assert RingMap.identity(QM2)._coeff is None
+
+
+def test_zero_derivation_is_the_one_from_no_images():
+    for ring in ALL_RINGS + [QM2]:
+        twists = [RingMap.identity(ring)]
+        if ring.generator_names():
+            g = ring.generator_names()[-1]
+            twists.append(RingMap.from_images(ring, {g: 3 * ring.generator(g)}))
+        for s in twists:
+            zero = SigmaDerivation.zero(ring, s)
+            assert zero == SigmaDerivation.from_images(ring, s, {}) and zero.is_zero_map()
+            assert hash(zero) == hash(SigmaDerivation.from_images(ring, s, {}))
+        assert SigmaDerivation.zero(ring) == SigmaDerivation.from_images(ring, twists[0], {})
 
 
 def test_equal_coefficients_hash_as_their_raw_value(catalog_entries):
