@@ -96,9 +96,7 @@ class Poly:
 
     @classmethod
     def const(cls, pres, c) -> "Poly":
-        if isinstance(c, int):
-            c = pres.ring.from_int(c)
-        elif isinstance(c, Fraction):
+        if isinstance(c, (int, Fraction)):
             c = pres.ring.from_fraction(c)
         return cls(pres, {(0,) * pres.n: c})
 
@@ -173,7 +171,7 @@ class Poly:
     def scale(self, r) -> "Poly":
         """Left module action r . f (coefficients multiplied in R)."""
         if isinstance(r, (int, Fraction)):
-            r = Poly.const(self.pres, r).constant_coeff()
+            r = self.pres.ring.from_fraction(r)
         return Poly(self.pres, {a: r * c for a, c in self.terms.items()})
 
     def __mul__(self, other):

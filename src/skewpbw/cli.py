@@ -13,17 +13,12 @@ import sys
 
 from . import catalog
 from .algebra import EXPONENT_CAP, ExponentCapError, star
-from .expr import MAX_NESTING, MAX_POWER_BITS, ExprError, eval_str
-from .jsonio import (
-    SchemaError,
-    load_homspec,
-    load_presentation,
-    presentation_to_json,
-)
-from .presentation import PresentationError, check_all
+from .expr import MAX_NESTING, MAX_POWER_BITS, eval_str
+from .jsonio import load_homspec, load_presentation, presentation_to_json
+from .presentation import check_all
 from .reduction import star_oracle
-from .rings import NotAUnitError, RingMismatchError
-from .universal import HomSpecError, check_hom_conditions, extend_hom
+from .rings import MAX_PRINT_DIGITS, NotAUnitError
+from .universal import check_hom_conditions, extend_hom
 
 GRAMMAR_NOTES = f"""expressions:
   sum      := item (('+' | '-') item)*
@@ -34,9 +29,10 @@ GRAMMAR_NOTES = f"""expressions:
 '^' binds tighter than '*', '*' tighter than '+'; unary minus sits between.
 Multiplication is noncommutative; juxtaposition is not multiplication.
 Negative exponents evaluate only on invertible constants (e.g. q^-2).
-Parentheses nest at most {MAX_NESTING} deep; an exponent on a non-constant
-base must be below {EXPONENT_CAP}.  A one-term constant takes any exponent;
-a power of a constant with more terms may hold at most {MAX_POWER_BITS}
+An integer literal, in an expression or a JSON file, has at most {MAX_PRINT_DIGITS}
+digits.  Parentheses nest at most {MAX_NESTING} deep; an exponent on a
+non-constant base must be below {EXPONENT_CAP}.  A one-term constant takes any
+exponent; a power of a constant with more terms may hold at most {MAX_POWER_BITS}
 predicted bits (terms times coefficient bits), and take as many predicted
 steps in its last squaring (term pairs times one plus the generators).
 Identifiers: variable names, positional aliases x1..xn, coefficient
@@ -199,18 +195,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (
-        ExponentCapError,
-        ExprError,
-        SchemaError,
-        PresentationError,
-        HomSpecError,
-        NotAUnitError,
-        RingMismatchError,
-        KeyError,
-        ValueError,
-        OSError,
-    ) as e:
+    except (ExponentCapError, NotAUnitError, KeyError, ValueError, OSError) as e:
         msg = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"error: {msg}", file=sys.stderr)
         return 1

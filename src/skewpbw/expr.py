@@ -19,11 +19,12 @@ Each rule builds a deferred value (a thunk), and the whole input parses
 before any of it is evaluated: a syntax error costs no arithmetic.  Sums
 and products fold flat, left to right, and a run of unary minus signs
 folds into at most one negation, so long inputs need no deep recursion.
-Parentheses nest at most MAX_NESTING deep, an exponent on a non-constant
-base must stay below EXPONENT_CAP, and a constant with more than one term
-is raised only while its power's predicted size, and the predicted work
-of its last squaring, are at most MAX_POWER_BITS; all three limits are
-positioned errors.  A one-term constant takes any exponent.
+An integer literal has at most MAX_PRINT_DIGITS digits, parentheses nest
+at most MAX_NESTING deep, an exponent on a non-constant base must stay
+below EXPONENT_CAP, and a constant with more than one term is raised only
+while its power's predicted size, and the predicted work of its last
+squaring, are at most MAX_POWER_BITS; all four limits are positioned
+errors.  A one-term constant takes any exponent.
 
 Identifiers resolve, in order, against the presentation's variable names,
 the positional aliases x1..xn, and the coefficient generators.  Canonical
@@ -40,7 +41,16 @@ from fractions import Fraction
 
 from .algebra import EXPONENT_CAP, Poly
 from .presentation import POSITIONAL_RE
-from .rings import IDENT, NAME_RE, QQ, CoeffElem, CoeffRing, NotAUnitError, flat_terms
+from .rings import (
+    IDENT,
+    MAX_PRINT_DIGITS,
+    NAME_RE,
+    QQ,
+    CoeffElem,
+    CoeffRing,
+    NotAUnitError,
+    flat_terms,
+)
 
 MAX_NESTING = 100
 # a bound on a multi-term constant's power: on its predicted size, terms
@@ -89,6 +99,10 @@ def tokenize(src: str) -> list[Token]:
         text = m.group()
         col = pos - line_start + 1
         if text[0].isdigit():
+            if len(text) > MAX_PRINT_DIGITS:
+                raise ExprError(
+                    f"integer literal has more than {MAX_PRINT_DIGITS} digits", line, col
+                )
             kind = "INT"
         elif NAME_RE.match(text):
             kind = "IDENT"

@@ -41,6 +41,7 @@ from .expr import ExprError, coeff_from_str, eval_str
 from .algebra import Poly
 from .presentation import Presentation
 from .rings import (
+    MAX_PRINT_DIGITS,
     CoeffRing,
     LaurentRing,
     PolyRing,
@@ -230,11 +231,18 @@ def load_presentation(token: str, base_dir: Path | None = None) -> Presentation:
     return presentation_from_json(_read_json(path))
 
 
+def _json_int(text: str) -> int:
+    """int(text), capped at MAX_PRINT_DIGITS digits on every Python version."""
+    if len(text.lstrip("-")) > MAX_PRINT_DIGITS:
+        raise ValueError(f"integer has more than {MAX_PRINT_DIGITS} digits")
+    return int(text)
+
+
 def _read_json(path: Path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
+            return json.load(fh, parse_int=_json_int)
+        except ValueError as e:  # malformed JSON or an over-long integer
             raise SchemaError(f"{path}: {e}") from None
         except RecursionError:
             raise SchemaError(f"{path}: JSON nested too deeply") from None

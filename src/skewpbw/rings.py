@@ -91,9 +91,7 @@ class CoeffElem:
                     f"mixed rings: {self.ring.describe()} vs {other.ring.describe()}"
                 )
             return other
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return self.ring.from_fraction(other)
         return None
 

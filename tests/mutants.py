@@ -38,6 +38,7 @@ TIMEOUT = 300  # seconds per mutant
 
 RINGS, ALGEBRA, EXPR = "rings.py", "algebra.py", "expr.py"
 PRESENTATION, REDUCTION = "presentation.py", "reduction.py"
+UNIVERSAL = "universal.py"
 
 MUTANTS = [
     # -- one square-and-multiply ------------------------------------------
@@ -134,6 +135,64 @@ MUTANTS = [
         EXPR,
         "    if k > MAX_POWER_BITS:\n        return f\"exponent",
         "    if False:\n        return f\"exponent",
+        ["tests/test_cli.py"],
+    ),
+    # -- homomorphism conditions as multiplicativity of extend_hom ---------
+    (
+        "the condition helper multiplies the images in the order (g, f)",
+        UNIVERSAL,
+        "        lhs = star(extend_hom(spec, f), extend_hom(spec, g))",
+        "        lhs = star(extend_hom(spec, g), extend_hom(spec, f))",
+        ["tests/test_universal.py"],
+    ),
+    (
+        "the condition helper maps the product g f",
+        UNIVERSAL,
+        "        rhs = extend_hom(spec, star(f, g))",
+        "        rhs = extend_hom(spec, star(g, f))",
+        ["tests/test_universal.py"],
+    ),
+    (
+        "condition (ii) multiplies each pair in standard order",
+        UNIVERSAL,
+        'item(f"(ii) pair ({i + 1},{j + 1})", x[j], x[i])',
+        'item(f"(ii) pair ({i + 1},{j + 1})", x[i], x[j])',
+        ["tests/test_universal.py"],
+    ),
+    (
+        "y_power drops its last factor",
+        UNIVERSAL,
+        "        out = reduce(star, factors) if factors else one",
+        "        out = reduce(star, factors[:-1]) if factors[:-1] else one",
+        ["tests/test_universal.py"],
+    ),
+    (
+        "y_power multiplies by images equal to 1",
+        UNIVERSAL,
+        "if e and y != one]",
+        "if e]",
+        ["tests/test_universal.py"],
+    ),
+    (
+        "extend_hom skips phi",
+        UNIVERSAL,
+        "        out = out + spec.map_coeff(r) * spec.y_power(alpha)",
+        "        out = out + r * spec.y_power(alpha)",
+        ["tests/test_universal.py"],
+    ),
+    # -- integer literals -------------------------------------------------
+    (
+        "the tokenizer takes integer literals of any length",
+        EXPR,
+        "            if len(text) > MAX_PRINT_DIGITS:",
+        "            if False:",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "the JSON reader takes integers of any length",
+        "jsonio.py",
+        '    if len(text.lstrip("-")) > MAX_PRINT_DIGITS:',
+        "    if False:",
         ["tests/test_cli.py"],
     ),
     # -- kept from the hand-made mutants of earlier changes ---------------

@@ -12,7 +12,16 @@ from skewpbw.jsonio import presentation_to_json
 from skewpbw.catalog import StructureConstants, get, lie_presentation
 from skewpbw.expr import MAX_POWER_BITS
 from skewpbw.presentation import MAX_VARS, Presentation
-from skewpbw.rings import PRIME_CAP, QQ, LaurentRing, PolyRing, PrimeField, RingMap, SigmaDerivation
+from skewpbw.rings import (
+    MAX_PRINT_DIGITS,
+    PRIME_CAP,
+    QQ,
+    LaurentRing,
+    PolyRing,
+    PrimeField,
+    RingMap,
+    SigmaDerivation,
+)
 
 
 def run(capsys, *argv):
@@ -606,6 +615,29 @@ def test_fraction_literal_over_f_p_is_a_positioned_error(capsys, tmp_path):
     assert run(capsys, "check", _f5_file(tmp_path, d="1/5")) == (1, "", expected)
     # a denominator prime to p is inverted: 1/3 = 2 in F_5
     assert run(capsys, "nf", _f5_file(tmp_path, d="1/3"), "y*x") == (0, "x1*x2 + 2\n", "")
+
+
+def test_over_long_integer_literals_are_positioned_errors(capsys, tmp_path):
+    nines = "9" * 5000
+    message = f"line 1 col {{}}: integer literal has more than {MAX_PRINT_DIGITS} digits\n"
+    for pres, expr, col in [
+        ("catalog:weyl1", nines, 1),
+        ("catalog:weyl1", "x1^" + nines, 4),
+        ("catalog:quantum_plane", "q^" + nines, 3),
+        ("catalog:weyl1", "1/" + nines, 3),
+        ("catalog:weyl1", "x1 - 2*" + nines + "/3", 8),
+    ]:
+        assert timed_run(capsys, "nf", pres, expr) == (1, "", "error: " + message.format(col))
+    longest = "9" * MAX_PRINT_DIGITS
+    assert timed_run(capsys, "nf", "catalog:weyl1", longest + "*x1") == (0, longest + "*x1\n", "")
+    # inside a file: an expression string names its field, a JSON number the file
+    expected = (1, "", "error: relations[0].d: " + message.format(1))
+    assert run(capsys, "check", _f5_file(tmp_path, d=nines)) == expected
+    path = tmp_path / "p.json"
+    for p in (nines, "-" + nines):
+        path.write_text('{"ring": {"kind": "prime_field", "p": ' + p + '}, "vars": ["x"]}')
+        expected = (1, "", f"error: {path}: integer has more than {MAX_PRINT_DIGITS} digits\n")
+        assert run(capsys, "nf", str(path), "x") == expected
 
 
 def test_large_prime_fields_are_decided_or_capped(capsys, tmp_path):

@@ -181,6 +181,67 @@ def _condition_i_holds(spec, i, r) -> bool:
     return lhs == rhs + Poly.const(T, spec.map_coeff(src.delta[i].apply(r)))
 
 
+def _condition_ii_holds(spec, i, j) -> bool:
+    """y_j y_i = phi(c_ij) y_i y_j + sum_k phi(a_ij^(k)) y_k + phi(d_ij) in
+    the target, expanded by hand from the stored relation."""
+    src, T, y = spec.source, spec.target, spec.y
+    rhs = spec.map_coeff(src.c_of(i, j)) * star(y[i], y[j])
+    for k, a in src.linear_terms(i, j):
+        rhs = rhs + spec.map_coeff(a) * y[k]
+    return star(y[j], y[i]) == rhs + Poly.const(T, spec.map_coeff(src.d_of(i, j)))
+
+
+def _condition_ii_verdict(spec) -> bool:
+    """check_hom_conditions' condition-(ii) verdict, asserted to agree pair
+    by pair with the hand expansion."""
+    n = spec.source.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    items = check_hom_conditions(spec).condition_ii
+    assert [it.label for it in items] == [f"(ii) pair ({i + 1},{j + 1})" for i, j in pairs]
+    assert [it.ok for it in items] == [_condition_ii_holds(spec, i, j) for i, j in pairs], spec
+    return all(it.ok for it in items)
+
+
+def test_condition_ii_agrees_with_the_hand_expansion(catalog_entries):
+    from .genutil import perturbed_homspec
+
+    for name, P in catalog_entries:
+        assert _condition_ii_verdict(identity_spec(P)), name
+    assert _condition_ii_verdict(heisenberg_to_weyl())
+    H, W = get("u_heisenberg"), get("weyl", 1)
+    center_to_2 = HomSpec(H, W, {}, (Poly.variable(W, 1), Poly.variable(W, 0), Poly.const(W, 2)))
+    assert not _condition_ii_verdict(center_to_2)
+    stream = Stream(59)
+    counts = {True: 0, False: 0}
+    for k in range(300):
+        counts[_condition_ii_verdict(perturbed_homspec(stream.split(k)))] += 1
+    # both verdicts occur often: the agreement is not vacuous
+    assert counts[True] >= 20 and counts[False] >= 20, counts
+
+
+def test_y_power_never_multiplies_by_one(monkeypatch):
+    """y_power folds the factors y_i^a_i left to right and leaves out the
+    images equal to 1, so no product it makes has a factor 1."""
+    import skewpbw.universal as universal
+
+    spec = heisenberg_to_weyl()  # y = (x2, x1, 1)
+    W = spec.target
+    x1, x2 = Poly.variable(W, 0), Poly.variable(W, 1)
+    calls = []
+
+    def counted_star(f, g):
+        calls.append((f, g))
+        return star(f, g)
+
+    monkeypatch.setattr(universal, "star", counted_star)
+    assert spec.y_power((0, 1, 0)) == x1
+    assert spec.y_power((2, 0, 3)) == star(x2, x2)
+    assert spec.y_power((0, 0, 4)) == Poly.one(W)
+    assert calls == []
+    assert spec.y_power((1, 2, 1)) == star(x2, star(x1, x1))
+    assert calls == [(x2, star(x1, x1))]
+
+
 def _condition_i_verdicts(spec, stream, samples=8) -> list[bool]:
     """check_hom_conditions' condition-(i) verdict per variable, each
     asserted to rest on 1 and the generators only and to agree with the
