@@ -32,8 +32,8 @@ from typing import Iterable, Mapping
 from .rings import (
     CoeffElem,
     RingMismatchError,
-    _add_scaled,
     add_terms,
+    combine_terms,
     format_terms,
     square_multiply,
 )
@@ -263,13 +263,11 @@ def _var_times_monomial(P, i: int, gamma: Monomial):
     dji = P.d_of(j, i)
     for e in range(e + 1, gamma[j] + 1):
         gp = head + (e - 1,) + tail
-        acc: dict = {}
-        _add_scaled(acc, _var_times_terms(P, j, out), c, ring)
-        for k, a in P.linear_terms(j, i):
-            _add_scaled(acc, _var_times_monomial(P, k, gp), a.value, ring)
+        parts = [(c, _var_times_terms(P, j, out))]
+        parts += [(a.value, _var_times_monomial(P, k, gp)) for k, a in P.linear_terms(j, i)]
         if dji:
-            _add_scaled(acc, ((gp, ring._one()),), dji.value, ring)
-        out = tuple(acc.items())
+            parts.append((dji.value, ((gp, ring._one()),)))
+        out = combine_terms(ring, parts)
         cache[(i, head + (e,) + tail)] = out
     return out
 
@@ -284,14 +282,13 @@ def _var_times_terms(P, i: int, terms) -> tuple:
     twist = None if sigma.is_identity() else sigma.apply
     derive = None if delta.is_zero_map() else delta.apply
     one = ring._one()
-    acc: dict = {}
+    parts = []
     for gamma, s in terms:
         u = s if twist is None else twist(CoeffElem(ring, s)).value
-        if not ring._is_zero(u):
-            _add_scaled(acc, _var_times_monomial(P, i, gamma), u, ring)
+        parts.append((u, _var_times_monomial(P, i, gamma)))
         if derive is not None:
-            _add_scaled(acc, ((gamma, one),), derive(CoeffElem(ring, s)).value, ring)
-    return tuple(acc.items())
+            parts.append((derive(CoeffElem(ring, s)).value, ((gamma, one),)))
+    return combine_terms(ring, parts)
 
 
 def _cleared(f: Poly, ring) -> tuple[list, int]:
@@ -323,18 +320,19 @@ def star(f: Poly, g: Poly) -> Poly:
     ring = P.ring
     f_terms, d = _cleared(f, ring)
     g_terms, e = _cleared(g, ring)
-    out: dict = {}
+    parts = []
     for alpha, r in f_terms:
         cur = g_terms
         for i in range(P.n - 1, -1, -1):
             for _ in range(alpha[i]):
                 cur = _var_times_terms(P, i, cur)
-        _add_scaled(out, cur, r, ring)
+        parts.append((r, cur))
+    out = combine_terms(ring, parts)
     de = d * e
     if de != 1:
         div = ring._div_int
-        out = {alpha: div(v, de) for alpha, v in out.items()}
-    return Poly._trusted(P, {alpha: CoeffElem(ring, v) for alpha, v in out.items()})
+        out = [(alpha, div(v, de)) for alpha, v in out]
+    return Poly._trusted(P, {alpha: CoeffElem(ring, v) for alpha, v in out})
 
 
 def sigma_pow(alpha: Monomial, r: CoeffElem, P) -> CoeffElem:

@@ -15,7 +15,7 @@ from . import catalog
 from .algebra import EXPONENT_CAP, ExponentCapError, star
 from .expr import MAX_NESTING, MAX_POWER_BITS, eval_str
 from .jsonio import load_homspec, load_presentation, presentation_to_json
-from .presentation import check_all
+from .presentation import MAX_VARS, check_all
 from .reduction import star_oracle
 from .rings import MAX_PRINT_DIGITS, NotAUnitError
 from .universal import check_hom_conditions, extend_hom
@@ -36,7 +36,9 @@ exponent; a power of a constant with more terms may hold at most {MAX_POWER_BITS
 predicted bits (terms times coefficient bits), and take as many predicted
 steps in its last squaring (term pairs times one plus the generators).
 Identifiers: variable names, positional aliases x1..xn, coefficient
-generators.  Presentations are file paths or catalog:NAME tokens."""
+generators.  A positional alias ignores leading zeros, and x followed by
+more than {len(str(MAX_VARS))} significant digits names no slot.
+Presentations are file paths or catalog:NAME tokens."""
 
 
 class UsageError(Exception):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import EXPONENT_CAP, Poly
-from .presentation import POSITIONAL_RE
+from .presentation import positional_slot
 from .rings import (
     IDENT,
     MAX_PRINT_DIGITS,
@@ -307,11 +307,11 @@ def parse(src: str, P):
 
     def resolve(tok: Token):
         name = tok.text
-        m = POSITIONAL_RE.match(name)
+        slot = positional_slot(name)
         if name in P.var_names:
             i = P.var_names.index(name)
-        elif m and 1 <= int(m.group(1)) <= P.n:
-            i = int(m.group(1)) - 1
+        elif slot and slot <= P.n:
+            i = slot - 1
         elif name in gens:
             return lambda: Poly.const(P, P.ring.generator(name))
         else:

@@ -86,7 +86,7 @@ def ring_from_json(obj: dict, where: str = "ring") -> CoeffRing:
         return QQ
     if kind == "prime_field":
         _check_keys(obj, {"kind", "p"}, {"kind", "p"}, where)
-        if not isinstance(obj["p"], int):
+        if type(obj["p"]) is not int:  # a JSON true is a bool, an int subclass
             raise SchemaError(f"{where}: p must be an integer")
         return PrimeField(obj["p"])
     if kind == "laurent":
@@ -162,7 +162,7 @@ def presentation_from_json(obj: dict) -> Presentation:
     for idx, rel in enumerate(relations):
         where = f"relations[{idx}]"
         _check_keys(rel, {"i", "j", "c", "d", "a"}, {"i", "j"}, where)
-        if not (isinstance(rel["i"], int) and isinstance(rel["j"], int)):
+        if not (type(rel["i"]) is int and type(rel["j"]) is int):
             raise SchemaError(f"{where}: i and j must be integers")
         i, j = rel["i"] - 1, rel["j"] - 1
         if not (0 <= i < j < n):

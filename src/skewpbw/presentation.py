@@ -55,6 +55,18 @@ class PresentationError(ValueError):
     """Structurally malformed parameter system."""
 
 
+def positional_slot(name: str) -> int | None:
+    """The slot k of a positional name xk, leading zeros ignored (x0 has
+    slot 0), or None for any other name.  A name whose number has more
+    significant digits than MAX_VARS gets MAX_VARS + 1, a slot past every
+    presentation, without converting its digits."""
+    m = POSITIONAL_RE.match(name)
+    if m is None:
+        return None
+    digits = m.group(1).lstrip("0")
+    return int(digits or "0") if len(digits) <= len(str(MAX_VARS)) else MAX_VARS + 1
+
+
 def _check_var_names(names: tuple[str, ...], ring: CoeffRing) -> None:
     if len(set(names)) != len(names):
         raise PresentationError("variable names must be distinct")
@@ -64,11 +76,9 @@ def _check_var_names(names: tuple[str, ...], ring: CoeffRing) -> None:
             raise PresentationError(f"invalid variable name {name!r}")
         if name in gens:
             raise PresentationError(f"variable {name!r} collides with a coefficient generator")
-        m = POSITIONAL_RE.match(name)
-        if m and int(m.group(1)) != pos + 1:
-            raise PresentationError(
-                f"positional name {name!r} must sit at slot {m.group(1)}"
-            )
+        slot = positional_slot(name)
+        if slot is not None and slot != pos + 1:
+            raise PresentationError(f"positional name {name!r} must sit at slot {name[1:]}")
     for g in gens:
         if POSITIONAL_RE.match(g):
             raise PresentationError(

@@ -35,7 +35,7 @@ trusted oracle for the fast exponent-level product in algebra.star.
 from __future__ import annotations
 
 from .algebra import Poly
-from .rings import add_terms
+from .rings import add_terms, combine_terms
 from .words import FreeElem, Scalar, Var, Word, complexity, rightmost_violation, word_str
 
 DEFAULT_MAX_WORD_LEN = 16
@@ -123,11 +123,13 @@ def _straighten(roots, cache: dict, expand, leaf, combine) -> None:
     (prefix, rest) with rest free of leading scalars, or None for a standard
     word, whose value is ``leaf(word)``.  Any other word's value is the sum
     over its children of prefix · value(rest), which
-    ``combine([(prefix, value(rest)), ...])`` returns.  Values are tuples of
-    (key, coeff) pairs, and ``cache`` holds only fully reduced values.  Each
-    word is expanded once: its children stay on the stack beside it until
-    their values are in.  The call stops with StraighteningCapError when it
-    has stored MAX_NEW_PAIRS pairs and a word is still missing.
+    ``combine([(prefix, value(rest)), ...])`` returns: _combine_words for
+    integer multiplicities of words, rings.combine_terms for raw ring
+    values.  Values are tuples of (key, coeff) pairs, and ``cache`` holds
+    only fully reduced values.  Each word is expanded once: its children
+    stay on the stack beside it until their values are in.  The call stops
+    with StraighteningCapError when it has stored MAX_NEW_PAIRS pairs and a
+    word is still missing.
     """
     limit = MAX_NEW_PAIRS
     stored = 0
@@ -287,7 +289,8 @@ def _h_reduce(roots, P) -> dict:
     coalescing collapses the free-ring blow-up that makes the literal
     straightening expensive on dense parameter systems.  A coalesced child
     has at most one leading scalar r, and h(r·rest) = r·h(rest).  Values
-    are tuples of (monomial, raw coefficient) pairs.
+    are tuples of (monomial, raw coefficient) pairs, and a word's children
+    are summed by rings.combine_terms (r None for no leading scalar).
     """
     ring = P.ring
     one = ring._one()
@@ -307,35 +310,8 @@ def _h_reduce(roots, P) -> dict:
         return ((tuple(counts), one),)
 
     cache = P._h_cache
-    _straighten(roots, cache, expand, leaf, _raw_combiner(ring))
+    _straighten(roots, cache, expand, leaf, lambda parts: combine_terms(ring, parts))
     return cache
-
-
-def _raw_combiner(ring):
-    """combine for _straighten over raw coefficients: the sum of r · value
-    (left multiplication, r None for 1) over values that map monomials to
-    raw values.  Each monomial's coefficients are summed once, at the end."""
-    mul, total, is_zero = ring._mul, ring._sum, ring._is_zero
-
-    def combine(parts) -> tuple:
-        acc: dict = {}
-        for r, value in parts:
-            for mono, c in value:
-                if r is not None:
-                    c = mul(r, c)
-                cs = acc.get(mono)
-                if cs is None:
-                    acc[mono] = [c]
-                else:
-                    cs.append(c)
-        out = []
-        for mono, cs in acc.items():
-            c = cs[0] if len(cs) == 1 else total(cs)
-            if not is_zero(c):
-                out.append((mono, c))
-        return tuple(out)
-
-    return combine
 
 
 def normalize_h(
@@ -364,7 +340,7 @@ def normalize_h(
             k = ring._from_fraction(m)
             scaled.append((k if r is None else ring._mul(r, k), rest))
     cache = _h_reduce([rest for _, rest in scaled], P)
-    terms = _raw_combiner(ring)([(k, cache[rest]) for k, rest in scaled])
+    terms = combine_terms(ring, [(k, cache[rest]) for k, rest in scaled])
     return Poly(P, {mono: ring.elem(c) for mono, c in terms})
 
 

@@ -393,6 +393,33 @@ def add_terms(acc: dict, items) -> dict:
     return acc
 
 
+def combine_terms(ring: CoeffRing, parts) -> tuple:
+    """The sum of r · terms over the pairs (r, terms) in ``parts``, as a
+    tuple of (key, raw value) pairs: each terms is an iterable of (key, raw
+    value of ``ring``) pairs, and r a raw value, or None for 1.  The values
+    of a repeated key are collected and summed once, at the end, and a key
+    whose sum is zero is dropped."""
+    mul = ring._mul
+    acc: dict = {}
+    get = acc.get
+    for r, terms in parts:
+        for key, c in terms:
+            if r is not None:
+                c = mul(r, c)
+            cs = get(key)
+            if cs is None:
+                acc[key] = [c]
+            else:
+                cs.append(c)
+    total, is_zero = ring._sum, ring._is_zero
+    out = []
+    for key, cs in acc.items():
+        c = cs[0] if len(cs) == 1 else total(cs)
+        if not is_zero(c):
+            out.append((key, c))
+    return tuple(out)
+
+
 def deglex_key(exps: tuple[int, ...]):
     """Sort key: total degree descending, then lexicographic descending."""
     return (-sum(exps), tuple(-e for e in exps))
@@ -909,22 +936,6 @@ def weighted_monomials(weights, bound: int):
                 heapq.heappush(heap, (deg + weights[i], child, i))
 
 
-def _add_scaled(acc: dict, items, r, ring: CoeffRing) -> None:
-    """acc += r * items over raw values of ``ring``, dropping zeros."""
-    mul, add, is_zero = ring._mul, ring._add, ring._is_zero
-    for alpha, c in items:
-        v = mul(r, c)
-        if is_zero(v):
-            continue
-        s = acc.get(alpha)
-        if s is not None:
-            v = add(s, v)
-            if is_zero(v):
-                del acc[alpha]
-                continue
-        acc[alpha] = v
-
-
 def _dependency(rows, ring: CoeffRing, charge=None):
     """Fraction-free elimination of ``rows`` (column -> nonzero raw value of
     the integral domain ``ring``) in order, up to the first row in the span
@@ -946,10 +957,8 @@ def _dependency(rows, ring: CoeffRing, charge=None):
             if charge:
                 charge(len(row) + len(prow) + len(pcombo))
             s, t = prow[col], ring._neg(row[col])  # row <- s*row + t*prow clears col
-            row = {key: ring._mul(s, c) for key, c in row.items()}
-            combo = {key: ring._mul(s, c) for key, c in combo.items()}
-            _add_scaled(row, prow.items(), t, ring)
-            _add_scaled(combo, pcombo.items(), t, ring)
+            row = dict(combine_terms(ring, ((s, row.items()), (t, prow.items()))))
+            combo = dict(combine_terms(ring, ((s, combo.items()), (t, pcombo.items()))))
         if not row:
             return combo
         if charge:

@@ -195,6 +195,50 @@ MUTANTS = [
         "    if False:",
         ["tests/test_cli.py"],
     ),
+    # -- one accumulator for sums of scaled terms --------------------------
+    (
+        "combine_terms keeps zero sums",
+        RINGS,
+        "        if not is_zero(c):\n            out.append((key, c))",
+        "        if True:\n            out.append((key, c))",
+        ["tests/test_algebra.py"],
+    ),
+    (
+        "combine_terms ignores the scale",
+        RINGS,
+        "            if r is not None:\n                c = mul(r, c)",
+        "            if False:\n                c = mul(r, c)",
+        ["tests/test_algebra.py"],
+    ),
+    (
+        "combine_terms drops the third and later values of a key",
+        RINGS,
+        "        c = cs[0] if len(cs) == 1 else total(cs)",
+        "        c = cs[0] if len(cs) == 1 else total(cs[:2])",
+        ["tests/test_algebra.py"],
+    ),
+    (
+        "combine_terms keeps only the last value of a repeated key",
+        RINGS,
+        "        c = cs[0] if len(cs) == 1 else total(cs)",
+        "        c = cs[-1]",
+        ["tests/test_algebra.py"],
+    ),
+    # -- hostile input: positional slots and JSON booleans ----------------
+    (
+        "a positional slot counts its leading zeros as digits",
+        PRESENTATION,
+        '    digits = m.group(1).lstrip("0")',
+        "    digits = m.group(1)",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "a relation index may be a JSON boolean",
+        "jsonio.py",
+        '        if not (type(rel["i"]) is int and type(rel["j"]) is int):',
+        '        if not (isinstance(rel["i"], int) and isinstance(rel["j"], int)):',
+        ["tests/test_cli.py"],
+    ),
     # -- kept from the hand-made mutants of earlier changes ---------------
     (
         "star skips its final division",

@@ -492,3 +492,15 @@ def test_clearing_denominators_changes_no_product(monkeypatch):
     for (f, g), got in zip(cases, cleared):
         plain = star(f, g)
         assert got.terms == plain.terms and str(got) == str(plain)
+
+
+def test_right_scalar_multiplication_goes_through_the_product():
+    """f * r is f times the constant r in the ring, not the left action:
+    on quantum_matrices2 the twist of x1 scales b by q^-1."""
+    P = catalog.get("quantum_matrices2")
+    b = P.ring.generator("b")
+    x1 = Poly.variable(P, 0)
+    assert x1 * b == star(x1, Poly.const(P, b))
+    assert x1 * b != b * x1
+    assert str(x1 * b) == "q^-1*b*x1" and str(b * x1) == "b*x1"
+    assert x1 * Fraction(1, 2) == Fraction(1, 2) * x1  # rational scalars are central

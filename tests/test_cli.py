@@ -654,3 +654,112 @@ def test_whole_input_parses_before_evaluation(capsys):
     # evaluating the product first would take far longer than the timer allows
     expected = (1, "", "error: line 1 col 19: unexpected ')'\n")
     assert timed_run(capsys, "nf", "catalog:weyl1", "x2^60000*x1^60000 )") == expected
+
+
+_RAT = {"kind": "rationals"}
+_LAURENT = {"kind": "laurent", "base": _RAT, "vars": ["q"]}
+_LONG = "x1" + "9" * 5000  # a positional-looking name past every slot
+
+
+def _pres(ring=_RAT, names=("x", "y"), **fields):
+    return {"ring": ring, "vars": names, **fields}
+
+
+def _relation(**rel):
+    return _pres(relations=[{"i": 1, "j": 2, **rel}])
+
+
+def _spec(**fields):
+    return {"source": "catalog:weyl1", "target": "catalog:weyl1", "y": ["x1", "x2"], **fields}
+
+
+@pytest.mark.parametrize(
+    "command, data, arg, message",
+    [
+        # schema errors name the field path; data is the file's JSON
+        pytest.param("nf", [], "x", "presentation: expected an object", id="not-an-object"),
+        pytest.param("nf", _pres(names="x"), "x", "vars: expected a list of strings", id="vars"),
+        pytest.param(
+            "nf", _pres({"kind": "prime_field", "p": "5"}), "x",
+            "ring: p must be an integer", id="p-string",
+        ),
+        pytest.param(
+            "nf", _pres({"kind": "prime_field", "p": True}), "x",
+            "ring: p must be an integer", id="p-bool",
+        ),
+        pytest.param(
+            "nf", _pres(_LAURENT, sigma=[5, {}]), "x",
+            "sigma[0]: expected an object mapping generators to expressions", id="sigma-entry",
+        ),
+        pytest.param(
+            "nf", _pres(sigma={}), "x", "sigma: expected a list of 2 objects", id="sigma",
+        ),
+        pytest.param(
+            "nf", _pres(delta=[{}]), "x", "delta: expected a list of 2 objects", id="delta",
+        ),
+        pytest.param(
+            "nf", _relation(i="1"), "x", "relations[0]: i and j must be integers", id="i-string",
+        ),
+        pytest.param(
+            "nf", _relation(i=True), "x", "relations[0]: i and j must be integers", id="i-bool",
+        ),
+        pytest.param(
+            "nf", _relation(j=True), "x", "relations[0]: i and j must be integers", id="j-bool",
+        ),
+        pytest.param(
+            "nf", _relation(a=["0"]), "x", "relations[0].a: expected a list of 2 expressions",
+            id="a-length",
+        ),
+        pytest.param(
+            "nf", _relation(c=2), "x", "relations[0].c: expected an expression string",
+            id="c-number",
+        ),
+        pytest.param(
+            "nf", _pres(names=[_LONG]), "1",
+            f"positional name {_LONG!r} must sit at slot {_LONG[1:]}", id="long-positional-var",
+        ),
+        pytest.param(
+            "hom", _spec(source=5), "--check-only",
+            "homspec: source and target must be strings", id="homspec-source",
+        ),
+        pytest.param(
+            "hom", _spec(phi=[]), "--check-only", "homspec.phi: expected an object",
+            id="homspec-phi",
+        ),
+        # parse errors name the line and column; arg is an expression over weyl1
+        pytest.param(
+            "nf", None, "x1 +\n  x3", "line 2 col 3: unknown identifier 'x3'", id="second-line",
+        ),
+        pytest.param(
+            "nf", None, "x1 $ x2", "line 1 col 4: unexpected character '$'", id="character",
+        ),
+        pytest.param(
+            "nf", None, "x1 +", "line 1 col 5: unexpected 'end of input'", id="end-of-input",
+        ),
+        pytest.param(
+            "nf", None, "1/x1", "line 1 col 3: fraction needs an integer denominator",
+            id="fraction",
+        ),
+        pytest.param(
+            "nf", None, _LONG, f"line 1 col 1: unknown identifier {_LONG!r}",
+            id="long-positional-name",
+        ),
+    ],
+)
+def test_malformed_input_ends_in_one_line(capsys, tmp_path, command, data, arg, message):
+    """Exit 1, nothing on stdout, and one error line naming where."""
+    target = "catalog:weyl1"
+    if data is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        target = str(path)
+    assert run(capsys, command, target, arg) == (1, "", f"error: {message}\n")
+
+
+def test_positional_aliases_ignore_leading_zeros(capsys, tmp_path):
+    expected = (0, "x1*x2\n", "")
+    assert run(capsys, "nf", "catalog:weyl1", "x0001*x02") == expected
+    assert run(capsys, "nf", "catalog:weyl1", "x000001*x0000002") == expected
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps(_pres(names=["x000001", "y"])))
+    assert run(capsys, "nf", str(path), "y*x000001") == expected

@@ -541,6 +541,30 @@ def test_check_all_reports_failing_triples():
     assert any("condition 3" in line for line in rep.failures())
 
 
+def test_failures_and_summary_name_each_failing_item():
+    """failures() has one line per failing item, and summary() lists a
+    non-unit c_ij on its own line, then the failures."""
+    ring = PolyRing(QQ, ("t",))
+    t = ring.generator("t")
+    twist = RingMap.from_images(ring, {"t": 2 * t})
+    # x2 x1 = x1 x2 + t with x1 doubling t: the overlap (x2, x1, t) fails
+    P = Presentation(ring, ("u", "v"), sigma=[twist, RingMap.identity(ring)], d={(0, 1): t})
+    rep = check_all(P)
+    line = "condition 2 fails at (i,j)=(1,2), r=t: lhs=2*t*x1*x2 + 2*t^2 rhs=2*t*x1*x2 + t^2"
+    assert rep.failures() == [line]
+    lines = rep.summary().splitlines()
+    assert "condition 2 [structural]: 2 checks, 1 FAIL" in lines
+    assert "units: all 1 c(i,j) invertible" in lines
+    assert lines[-2:] == [line, "overall: FAIL"]
+
+    rep = check_all(Presentation(ring, ("u", "v"), c={(0, 1): t}))
+    assert rep.failures() == ["c(1,2) = t is not a unit"]
+    lines = rep.summary().splitlines()
+    assert "c(1,2) = t: NOT a unit" in lines
+    assert not any(x.startswith("units:") for x in lines)
+    assert lines[-2:] == ["c(1,2) = t is not a unit", "overall: FAIL"]
+
+
 def test_check_all_leaves_the_literal_straightening_alone():
     """check_all's right-hand sides come from one rewrite move on the head,
     not from reduce_p: the literal memo stays empty, and every item equals

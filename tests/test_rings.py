@@ -19,6 +19,7 @@ from skewpbw.rings import (
     _is_prime,
     _raw_pow,
     _Triangular,
+    combine_terms,
     square_multiply,
 )
 from skewpbw.rng import Stream
@@ -753,3 +754,30 @@ def test_denominator_and_exact_division():
                 assert q == a.value, (ring, a, n)
                 # canonical: a rational coefficient is an int exactly when integral
                 assert all((type(s) is int) == (s.denominator == 1) for s, _ in _summands(ring, q))
+
+
+def test_combine_terms_sums_scaled_terms_against_dicts():
+    """combine_terms against a dict of CoeffElem sums: r None is 1, every
+    value of a repeated key counts, and zero sums are dropped."""
+    stream = Stream(83)
+    for ring in ALL_RINGS:
+        for _ in range(20):
+            parts, expected = [], {}
+            for _ in range(stream.int_between(0, 4)):
+                r = None if stream.below(3) == 0 else random_elem(ring, stream, 2)
+                terms = []
+                for _ in range(stream.int_between(0, 5)):
+                    key, c = stream.below(3), random_elem(ring, stream, 2)
+                    terms.append((key, c.value))
+                    scaled = c if r is None else r * c
+                    expected[key] = expected.get(key, ring.zero()) + scaled
+                parts.append((None if r is None else r.value, terms))
+            out = combine_terms(ring, parts)
+            assert len({key for key, _ in out}) == len(out)
+            assert dict(out) == {k: c.value for k, c in expected.items() if c}, ring
+    # three values of one key, a cancelling pair, and a zero scale
+    t = QT.generator("t").value
+    one = QT.one().value
+    parts = [(None, [(0, t), (1, one)]), (QT._neg(one), [(1, one), (0, t)]), (None, [(0, t)])]
+    assert combine_terms(QT, parts) == ((0, t),)
+    assert combine_terms(QT, [((), [(0, t)])]) == ()
