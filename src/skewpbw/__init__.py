@@ -77,7 +77,6 @@ from .words import (
     FreeElem,
     Scalar,
     Var,
-    Violation,
     complexity,
     is_standard,
     rightmost_violation,

@@ -17,10 +17,11 @@ Laurent generator so q-power identities stay exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .presentation import Presentation, PresentationError
+from .presentation import MAX_VARS, Presentation, PresentationError, read_index
 from .rings import (
     CoeffElem,
     CoeffRing,
@@ -126,6 +127,8 @@ def weyl(n: int) -> Presentation:
     d_i t_i = t_i d_i + 1 and all other pairs commuting."""
     if n < 1:
         raise ValueError("weyl(n) needs n >= 1")
+    if 2 * n > MAX_VARS:  # before building 2n names
+        raise PresentationError(f"{2 * n} variables exceed the cap of {MAX_VARS}")
     names = tuple(f"t{i + 1}" for i in range(n)) + tuple(f"d{i + 1}" for i in range(n))
     d = {(i, n + i): 1 for i in range(n)}
     return Presentation(QQ, names, d=d)
@@ -230,7 +233,8 @@ def names() -> list[str]:
 
 def get(name: str, param: int | None = None) -> Presentation:
     """Fetch a catalog presentation.  ``weyl`` needs its index, either as the
-    param argument or fused into the name (weyl1, weyl2, ...)."""
+    param argument or fused into the name (weyl1, weyl2, ...).  A fused
+    index is read like a positional alias, by read_index."""
     if name in _FIXED:
         if param is not None:
             raise ValueError(f"{name} takes no parameter")
@@ -239,10 +243,17 @@ def get(name: str, param: int | None = None) -> Presentation:
         if param is None:
             raise ValueError("weyl needs an index parameter, e.g. weyl(1)")
         return weyl(param)
-    if name.startswith("weyl") and name[4:].isdigit():
+    m = re.fullmatch("weyl([0-9]+)", name)
+    if m:
         if param is not None:
             raise ValueError("index given twice")
-        return weyl(int(name[4:]))
+        n = read_index(m.group(1))
+        if n is None:
+            raise PresentationError(
+                f"a weyl index of more than {len(str(MAX_VARS))} significant digits "
+                f"exceeds the cap of {MAX_VARS} variables"
+            )
+        return weyl(n)
     raise KeyError(f"unknown catalog entry {name!r}")
 
 

@@ -31,10 +31,10 @@ Multiplication is noncommutative; juxtaposition is not multiplication.
 Negative exponents evaluate only on invertible constants (e.g. q^-2).
 An integer literal, in an expression or a JSON file, has at most {MAX_PRINT_DIGITS}
 digits.  Parentheses nest at most {MAX_NESTING} deep; an exponent on a
-non-constant base must be below {EXPONENT_CAP}.  A one-term constant takes any
-exponent; a power of a constant with more terms may hold at most {MAX_POWER_BITS}
-predicted bits (terms times coefficient bits), and take as many predicted
-steps in its last squaring (term pairs times one plus the generators).
+non-constant base must be below {EXPONENT_CAP}.  A power of a constant may hold
+at most {MAX_POWER_BITS} predicted bits (terms times coefficient bits), and take as
+many predicted steps in its last squaring (term pairs times one plus the
+generators); so ±q^e over Q, and one term over F_p, take any exponent.
 Identifiers: variable names, positional aliases x1..xn, coefficient
 generators.  A positional alias ignores leading zeros, and x followed by
 more than {len(str(MAX_VARS))} significant digits names no slot.

@@ -21,10 +21,11 @@ and products fold flat, left to right, and a run of unary minus signs
 folds into at most one negation, so long inputs need no deep recursion.
 An integer literal has at most MAX_PRINT_DIGITS digits, parentheses nest
 at most MAX_NESTING deep, an exponent on a non-constant base must stay
-below EXPONENT_CAP, and a constant with more than one term is raised only
-while its power's predicted size, and the predicted work of its last
-squaring, are at most MAX_POWER_BITS; all four limits are positioned
-errors.  A one-term constant takes any exponent.
+below EXPONENT_CAP, and a constant is raised only while its power's
+predicted size, and the predicted work of its last squaring, are at most
+MAX_POWER_BITS; all four limits are positioned errors.  A unit monomial over
+Q and a one-term constant over F_p take any exponent, because the size of
+their powers does not grow with it.
 
 Identifiers resolve, in order, against the presentation's variable names,
 the positional aliases x1..xn, and the coefficient generators.  Canonical
@@ -53,8 +54,8 @@ from .rings import (
 )
 
 MAX_NESTING = 100
-# a bound on a multi-term constant's power: on its predicted size, terms
-# times coefficient bits, and on the predicted steps of its last squaring
+# a bound on a constant's power: on its predicted size, terms times
+# coefficient bits, and on the predicted steps of its last squaring
 MAX_POWER_BITS = 1 << 20
 
 
@@ -263,19 +264,30 @@ def _power(base, k: int, caret: Token):
         except NotAUnitError:
             raise ExprError(f"{base} is not invertible", caret.line, caret.col) from None
     terms = flat_terms(base.ring, base.value)
-    if len(terms) > 1 and (excess := _power_excess(base.ring, terms, abs(k))):
+    if terms and (excess := _power_excess(base.ring, terms, abs(k))):
         raise ExprError(f"{excess} the cap of {MAX_POWER_BITS}", caret.line, caret.col)
     return base ** abs(k)
 
 
 def _power_excess(ring: CoeffRing, terms: list, k: int) -> str | None:
-    """Why the k-th power of the sum of ``terms`` (flat_terms, two or more)
+    """Why the k-th power of the sum of ``terms`` (flat_terms, one or more)
     is refused, up to the words "the cap", or None: its predicted size in
     bits or the predicted steps of its last squaring, the largest step of
     square and multiply, is above MAX_POWER_BITS.  docs/grammar.md derives
-    both predictions; the bounds on term counts pass the cap once k does."""
+    both predictions.  A term's power over F_p, or with coefficient ±1 over
+    Q, has a size that does not grow with k; every other prediction passes
+    the cap once k does."""
+    prime = ring.prime_ring()
+    if prime != QQ:
+        bits, growth = prime.p.bit_length(), 0
+    else:
+        den = math.lcm(*(prime._denominator(x) for _, x in terms))
+        bits, growth = 0, math.log2(sum(abs(x * den) for _, x in terms) * den)
+    if len(terms) == 1 and not growth:
+        return None
     if k > MAX_POWER_BITS:
         return f"exponent {k} on a {len(terms)}-term constant is above"
+    bits += k * growth  # k is at most the cap, so it converts to a float
     spans = []  # per generator: the exponents' span over their step
     for col in zip(*(exps for exps, _ in terms)):
         step = math.gcd(*(x - col[0] for x in col))
@@ -285,12 +297,6 @@ def _power_excess(ring: CoeffRing, terms: list, k: int) -> str | None:
         box = math.prod(m * span + 1 for span in spans)
         return min(box, math.comb(m + len(terms) - 1, min(m, len(terms) - 1)), 1 << 64)
 
-    prime = ring.prime_ring()
-    if prime != QQ:
-        bits = prime.p.bit_length()
-    else:
-        den = math.lcm(*(prime._denominator(x) for _, x in terms))
-        bits = k * math.log2(sum(abs(x * den) for _, x in terms) * den)
     what = f"power of a {len(terms)}-term constant would"
     if (size := count(k) * bits) > MAX_POWER_BITS:
         return f"{what} hold about {size:.3g} bits, above"

@@ -55,16 +55,20 @@ class PresentationError(ValueError):
     """Structurally malformed parameter system."""
 
 
+def read_index(digits: str, past=None):
+    """A run of ASCII digits as an int, leading zeros ignored; ``past``,
+    without converting them, when it has more significant digits than
+    MAX_VARS and so lies past every slot and index."""
+    digits = digits.lstrip("0")
+    return int(digits or "0") if len(digits) <= len(str(MAX_VARS)) else past
+
+
 def positional_slot(name: str) -> int | None:
-    """The slot k of a positional name xk, leading zeros ignored (x0 has
-    slot 0), or None for any other name.  A name whose number has more
-    significant digits than MAX_VARS gets MAX_VARS + 1, a slot past every
-    presentation, without converting its digits."""
+    """The slot k of a positional name xk by read_index (x0 has slot 0), or
+    None for any other name.  A number past read_index's digits gets
+    MAX_VARS + 1, a slot past every presentation."""
     m = POSITIONAL_RE.match(name)
-    if m is None:
-        return None
-    digits = m.group(1).lstrip("0")
-    return int(digits or "0") if len(digits) <= len(str(MAX_VARS)) else MAX_VARS + 1
+    return None if m is None else read_index(m.group(1), MAX_VARS + 1)
 
 
 def _check_var_names(names: tuple[str, ...], ring: CoeffRing) -> None:

@@ -1,11 +1,12 @@
 """Word straightening and normalization onto the standard-monomial module.
 
 The straightening map sends any word to an integer combination of standard
-words by recursing on the rightmost out-of-order adjacent pair:
+words by recursing on the rightmost out-of-order adjacent pair, found as its
+position s by words.rightmost_violation; the letter at s + 1 names the move:
 
-  * standard word: itself;
-  * (x_i, r) pair: the twist-and-derive move, two child words;
-  * (x_j, x_i) pair with i < j: the commutation move, n + 2 child words
+  * standard word (no position): itself;
+  * a scalar r after x_i: the twist-and-derive move, two child words;
+  * a variable x_i after x_j, i < j: the commutation move, n + 2 child words
     (the reordered word with its unit coefficient, one word per linear term,
     one word for the constant term).
 
@@ -36,9 +37,11 @@ from __future__ import annotations
 
 from .algebra import Poly
 from .rings import add_terms, combine_terms
-from .words import FreeElem, Scalar, Var, Word, complexity, rightmost_violation, word_str
+from .words import FreeElem, Scalar, Var, Word, complexity, is_standard
+from .words import rightmost_violation, word_str
 
 DEFAULT_MAX_WORD_LEN = 16
+ORACLE_MAX_WORD_LEN = 64  # star_oracle's cap: section words grow with the degrees
 # (key, coefficient) pairs that one call of reduce_p or normalize_h may store
 # in its memo; an entry whose value is zero counts as one pair
 MAX_NEW_PAIRS = 500_000
@@ -76,13 +79,12 @@ def rewrite_step(w: Word, P) -> list[Word] | None:
     the recursion with nothing pruned; over sparse ones it drops the
     zero-weight branches that otherwise dominate the free-ring blow-up.
     """
-    v = rightmost_violation(w)
-    if v is None:
+    s = rightmost_violation(w)
+    if s is None:
         return None
-    s = v.pos
     head, tail = w[:s], w[s + 2 :]
     out = []
-    if v.kind == "scalar":
+    if isinstance(w[s + 1], Scalar):
         i = w[s].index
         r = w[s + 1].value
         sr = P.sigma[i].apply(r)
@@ -210,7 +212,7 @@ def reduce_p(w: Word, P, *, check_descent: bool = False) -> FreeElem:
 
 def reduce_elem(e: FreeElem, P, *, check_descent: bool = False) -> FreeElem:
     """Linear extension of the straightening map."""
-    out = FreeElem.zero()
+    out = FreeElem()
     for w, m in e:
         out = out + reduce_p(w, P, check_descent=check_descent).scale(m)
     return out
@@ -222,20 +224,14 @@ def collapse_q(e: FreeElem, P) -> Poly:
     terms: dict = {}
     ring = P.ring
     for w, m in e:
+        if not is_standard(w):
+            raise ValueError(f"word not standard: {word_str(w)}")
         coeff = ring.one()
         counts = [0] * P.n
-        last = -1
-        in_prefix = True
         for letter in w:
             if isinstance(letter, Scalar):
-                if not in_prefix:
-                    raise ValueError(f"word not standard: {word_str(w)}")
                 coeff = coeff * letter.value
             else:
-                in_prefix = False
-                if letter.index < last:
-                    raise ValueError(f"word not standard: {word_str(w)}")
-                last = letter.index
                 counts[letter.index] += 1
         add_terms(terms, ((tuple(counts), coeff * m),))
     return Poly(P, terms)
@@ -249,7 +245,7 @@ def section_t(f: Poly) -> FreeElem:
         letters: list = [Scalar(r)]
         for i, e in enumerate(alpha):
             letters.extend([Var(i)] * e)
-        out[tuple(letters)] = out.get(tuple(letters), 0) + 1
+        out[tuple(letters)] = 1  # distinct monomials give distinct words
     return FreeElem(out)
 
 
@@ -265,9 +261,9 @@ def _coalesce(w: Word, ring) -> tuple | None:
             if is_zero(raw):
                 return None
             if out and isinstance(out[-1], Scalar):
+                # a product of nonzero scalars is nonzero: every
+                # coefficient ring here is an integral domain
                 raw = mul(out[-1].value.value, raw)
-                if is_zero(raw):
-                    return None
                 out[-1] = Scalar(ring.elem(raw))
             else:
                 out.append(letter)
@@ -348,13 +344,12 @@ def h_word(w: Word, P) -> Poly:
     return normalize_h(FreeElem.from_word(tuple(w)), P)
 
 
-def star_oracle(f: Poly, g: Poly, *, max_len: int = 64) -> Poly:
+def star_oracle(f: Poly, g: Poly) -> Poly:
     """Word-level product: normalize(section(f) . section(g)).
 
     Independent of the exponent-level engine in algebra.star; used to
-    cross-check it.  The length cap is looser here since section output
-    grows with the degrees involved.
+    cross-check it, with the looser length cap ORACLE_MAX_WORD_LEN.
     """
     f._same(g)
     words = section_t(f).concat(section_t(g))
-    return normalize_h(words, f.pres, max_len=max_len)
+    return normalize_h(words, f.pres, max_len=ORACLE_MAX_WORD_LEN)

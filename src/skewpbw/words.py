@@ -12,8 +12,9 @@ The complexity of a word is the triple
      number of position pairs s < t holding variables in decreasing index order,
      number of position pairs s < t holding a variable then a scalar)
 
-ordered lexicographically.  Both rewrite moves of the straightening recursion
-strictly decrease it, which is the termination measure.  Inversions are
+ordered lexicographically.  Both rewrite moves of the straightening recursion,
+made at the position that rightmost_violation returns, strictly decrease
+it, which is the termination measure.  Inversions are
 counted over all position pairs, not only adjacent ones; any measure the
 moves strictly decrease works, and the pair count does.
 
@@ -62,8 +63,7 @@ class Scalar:
         return self._hash
 
 
-Letter = Var | Scalar
-Word = tuple  # tuple[Letter, ...]
+Word = tuple  # tuple[Var | Scalar, ...]
 
 
 def word_str(w: Word) -> str:
@@ -111,29 +111,18 @@ def is_standard(w: Word) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
-    pos: int
-    kind: str  # "scalar" (x_i r) or "vars" (x_j x_i with i < j)
-
-
-def rightmost_violation(w: Word) -> Violation | None:
-    """Position of the rightmost adjacent out-of-order pair.
-
-    Scanning right to left, the first adjacent pair that is either
-    (variable, scalar) or (variable j, variable i) with i < j is returned;
-    its right context is automatically standard, because a word without any
-    violating adjacency is standard.  Returns None iff the word is standard.
-    """
+def rightmost_violation(w: Word) -> int | None:
+    """Position s of the rightmost adjacent out-of-order pair (w[s], w[s+1]),
+    either (variable, scalar) or (variable j, variable i) with i < j, or None
+    iff the word is standard.  Its right context w[s+1:] is standard, since a
+    word without a violating adjacency is; the letter w[s+1] names the move."""
     for s in range(len(w) - 2, -1, -1):
         left = w[s]
         if not isinstance(left, Var):
             continue
         right = w[s + 1]
-        if isinstance(right, Scalar):
-            return Violation(s, "scalar")
-        if right.index < left.index:
-            return Violation(s, "vars")
+        if isinstance(right, Scalar) or right.index < left.index:
+            return s
     return None
 
 
@@ -146,10 +135,6 @@ class FreeElem:
         self.terms = {w: m for w, m in (terms or {}).items() if m}
 
     @classmethod
-    def zero(cls) -> "FreeElem":
-        return cls()
-
-    @classmethod
     def from_word(cls, w: Word, mult: int = 1) -> "FreeElem":
         return cls({tuple(w): mult})
 
@@ -159,15 +144,7 @@ class FreeElem:
     def __add__(self, other: "FreeElem") -> "FreeElem":
         return FreeElem(add_terms(dict(self.terms), other.terms.items()))
 
-    def __neg__(self) -> "FreeElem":
-        return FreeElem({w: -m for w, m in self.terms.items()})
-
-    def __sub__(self, other: "FreeElem") -> "FreeElem":
-        return self + (-other)
-
     def scale(self, k: int) -> "FreeElem":
-        if k == 0:
-            return FreeElem()
         return FreeElem({w: k * m for w, m in self.terms.items()})
 
     def concat(self, other: "FreeElem") -> "FreeElem":
@@ -179,13 +156,8 @@ class FreeElem:
         )
         return FreeElem(add_terms({}, pairs))
 
-    __mul__ = concat
-
     def __eq__(self, other):
         return isinstance(other, FreeElem) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __len__(self):
         return len(self.terms)

@@ -38,7 +38,7 @@ TIMEOUT = 300  # seconds per mutant
 
 RINGS, ALGEBRA, EXPR = "rings.py", "algebra.py", "expr.py"
 PRESENTATION, REDUCTION = "presentation.py", "reduction.py"
-UNIVERSAL = "universal.py"
+UNIVERSAL, CATALOG = "universal.py", "catalog.py"
 
 MUTANTS = [
     # -- one square-and-multiply ------------------------------------------
@@ -228,8 +228,8 @@ MUTANTS = [
     (
         "a positional slot counts its leading zeros as digits",
         PRESENTATION,
-        '    digits = m.group(1).lstrip("0")',
-        "    digits = m.group(1)",
+        '    digits = digits.lstrip("0")',
+        "    digits = digits",
         ["tests/test_cli.py"],
     ),
     (
@@ -238,6 +238,50 @@ MUTANTS = [
         '        if not (type(rel["i"]) is int and type(rel["j"]) is int):',
         '        if not (isinstance(rel["i"], int) and isinstance(rel["j"], int)):',
         ["tests/test_cli.py"],
+    ),
+    # -- the word-level oracle ---------------------------------------------
+    (
+        "rewrite_step takes a vars pair for a scalar move",
+        REDUCTION,
+        "    if isinstance(w[s + 1], Scalar):",
+        "    if isinstance(w[s], Scalar):",
+        ["tests/test_words.py", "tests/test_reduction.py"],
+    ),
+    (
+        "rightmost_violation returns the leftmost pair",
+        "words.py",
+        "    for s in range(len(w) - 2, -1, -1):",
+        "    for s in range(len(w) - 1):",
+        ["tests/test_words.py"],
+    ),
+    (
+        "collapse_q takes nonstandard words",
+        REDUCTION,
+        "        if not is_standard(w):\n            raise ValueError",
+        "        if False:\n            raise ValueError",
+        ["tests/test_reduction.py"],
+    ),
+    # -- bounded work before the variable cap and in constant powers --------
+    (
+        "weyl leaves the cap to Presentation, after it builds the names",
+        CATALOG,
+        "    if 2 * n > MAX_VARS:  # before building 2n names",
+        "    if False:",
+        ["tests/test_catalog.py"],
+    ),
+    (
+        "weyl refuses 2n = MAX_VARS",
+        CATALOG,
+        "    if 2 * n > MAX_VARS:  # before building 2n names",
+        "    if 2 * n >= MAX_VARS:",
+        ["tests/test_catalog.py"],
+    ),
+    (
+        "one-term constant powers are exempt from the size bound",
+        EXPR,
+        "    if terms and (excess := _power_excess(",
+        "    if len(terms) > 1 and (excess := _power_excess(",
+        ["tests/test_expr.py"],
     ),
     # -- kept from the hand-made mutants of earlier changes ---------------
     (

@@ -287,7 +287,7 @@ def test_criterion_9_cli_contract(capsys, tmp_path):
     code, out, _ = run("mul", "catalog:quantum_plane", "x2^3", "x1^2", "--verify")
     assert code == 0 and out.strip() == "q^6*x1^2*x2^3"
 
-    # --seed pins every sampled check bit for bit
+    # every check is exact, so repeated runs print the same report bit for bit
     runs = [run("check", "catalog:quantum_matrices2", "--seed", "17", "--json") for _ in range(2)]
     assert runs[0] == runs[1]
 

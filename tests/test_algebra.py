@@ -25,6 +25,7 @@ from skewpbw.rings import (
     QQ,
     Rationals,
     RingMap,
+    RingMismatchError,
     SigmaDerivation,
 )
 from skewpbw.presentation import Presentation, check_all
@@ -504,3 +505,34 @@ def test_right_scalar_multiplication_goes_through_the_product():
     assert x1 * b != b * x1
     assert str(x1 * b) == "q^-1*b*x1" and str(b * x1) == "b*x1"
     assert x1 * Fraction(1, 2) == Fraction(1, 2) * x1  # rational scalars are central
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda W: Poly(W, {(1,): W.ring.one()}), ValueError,
+            "monomial has 1 slots, presentation has 2", id="slots",
+        ),
+        pytest.param(
+            lambda W: Poly(W, {(-1, 0): W.ring.one()}), ValueError, "negative exponent",
+            id="negative",
+        ),
+        pytest.param(
+            lambda W: Poly(W, {(0, 0): PrimeField(5).one()}), RingMismatchError,
+            "coefficient from a different ring", id="coefficient-ring",
+        ),
+        pytest.param(
+            lambda W: Poly.variable(W, 0) ** -1, ValueError,
+            "polynomial powers need a nonnegative int", id="negative-power",
+        ),
+        pytest.param(
+            lambda W: Poly.variable(W, 0) ** 2.0, ValueError,
+            "polynomial powers need a nonnegative int", id="float-power",
+        ),
+    ],
+)
+def test_poly_refusals(weyl1, build, error, message):
+    with pytest.raises(error) as info:
+        build(weyl1)
+    assert info.value.args == (message,)

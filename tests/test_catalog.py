@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewpbw import catalog
 from skewpbw.algebra import Poly, star
 from skewpbw.catalog import (
     StructureConstants,
@@ -11,9 +12,10 @@ from skewpbw.catalog import (
     jacobiator,
     lie_presentation,
     names,
+    weyl,
 )
-from skewpbw.presentation import check_all, check_condition3
-from skewpbw.rings import QQ
+from skewpbw.presentation import MAX_VARS, PresentationError, check_all, check_condition3
+from skewpbw.rings import QQ, PolyRing
 from skewpbw.rng import Stream
 
 from .genutil import random_poly
@@ -197,3 +199,79 @@ def test_pbw_products_match_free_straightening():
                 for mono, cf in engine.terms.items():
                     got[_word_of(mono)] = cf.value
                 assert got == expected, (label, alpha, beta)
+
+
+def test_weyl_reaches_the_variable_cap():
+    assert weyl(MAX_VARS // 2).n == MAX_VARS
+    assert get("weyl0001") == weyl(1)
+
+
+def _cap_message(count):
+    return f"{count} variables exceed the cap of {MAX_VARS}"
+
+
+_LONG_INDEX = (
+    f"a weyl index of more than {len(str(MAX_VARS))} significant digits "
+    f"exceeds the cap of {MAX_VARS} variables"
+)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: StructureConstants.build(PolyRing(QQ, ("t",)), 2, {}), PresentationError,
+            "structure constants need a field kind", id="field",
+        ),
+        pytest.param(
+            lambda: StructureConstants.build(QQ, 2, {(1, 0): [0, 0]}), PresentationError,
+            "bracket pair (1, 0) out of range", id="pair",
+        ),
+        pytest.param(
+            lambda: StructureConstants.build(QQ, 2, {(0, 1): [0]}), PresentationError,
+            "bracket vector for (0, 1) must have length 2", id="vector",
+        ),
+        pytest.param(
+            lambda: jacobiator(StructureConstants.build(QQ, 3, {}), 0, 2, 1), ValueError,
+            "jacobiator expects i < j < k", id="jacobiator",
+        ),
+        pytest.param(lambda: weyl(0), ValueError, "weyl(n) needs n >= 1", id="weyl0"),
+        pytest.param(
+            lambda: weyl(MAX_VARS // 2 + 1), PresentationError, _cap_message(MAX_VARS + 2),
+            id="weyl501",
+        ),
+        pytest.param(
+            lambda: weyl(10**6), PresentationError, _cap_message(2 * 10**6), id="weyl(10^6)",
+        ),
+        pytest.param(
+            lambda: get("weyl00000001001"), PresentationError, _cap_message(2002),
+            id="weyl-zeros",
+        ),
+        pytest.param(
+            lambda: get("weyl10000000"), PresentationError, _LONG_INDEX, id="weyl10000000",
+        ),
+        pytest.param(
+            lambda: get("weyl" + "9" * 5000), PresentationError, _LONG_INDEX, id="weyl-5000",
+        ),
+        pytest.param(
+            lambda: get("weyl\u00b2"), KeyError, "unknown catalog entry 'weyl\u00b2'",
+            id="superscript",
+        ),
+        pytest.param(
+            lambda: get("weyl\u0661"), KeyError, "unknown catalog entry 'weyl\u0661'",
+            id="arabic-indic",
+        ),
+        pytest.param(lambda: get("weyl1", 2), ValueError, "index given twice", id="twice"),
+    ],
+)
+def test_refusals_build_no_presentation(monkeypatch, build, error, message):
+    """Each refusal comes before any presentation is built: weyl checks
+    the cap before it makes its 2n names."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("a presentation was built")
+
+    monkeypatch.setattr(catalog, "Presentation", built)
+    with pytest.raises(error) as info:
+        build()
+    assert info.value.args == (message,)

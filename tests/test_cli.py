@@ -239,9 +239,20 @@ def test_deep_nesting_is_a_positioned_error(capsys):
 
 
 def test_constant_powers_use_the_coefficient_ring(capsys):
-    for k in (70000, 5000000):
+    for k in (70000, 5000000, 10**20):
         code, out, err = timed_run(capsys, "nf", "catalog:quantum_plane", f"q^{k}")
         assert (code, out, err) == (0, f"q^{k}\n", "")
+
+
+def test_one_term_constant_powers_are_capped(capsys):
+    for target, expr, col, why in [
+        ("catalog:quantum_plane", "(3/2)^30000000", 6, "exponent 30000000 on a 1-term constant"),
+        ("catalog:weyl1", "(3/2)^1000000", 6, "power of a 1-term constant would hold"),
+        ("catalog:weyl1", "2^100000000", 2, "exponent 100000000 on a 1-term constant"),
+    ]:
+        code, out, err = timed_run(capsys, "nf", target, expr)
+        assert (code, out) == (1, "") and err.startswith(f"error: line 1 col {col}: {why}"), err
+        assert err.endswith(f" the cap of {MAX_POWER_BITS}\n")
 
 
 def test_multi_term_constant_powers_are_capped(capsys):
@@ -494,6 +505,13 @@ def test_variable_count_is_capped(capsys, tmp_path):
     n = MAX_VARS // 2 + 1  # weyl(n) has 2n variables
     message = f"error: {2 * n} variables exceed the cap of {MAX_VARS}\n"
     assert timed_run(capsys, "nf", f"catalog:weyl{n}", "t1") == (1, "", message)
+    # a fused index past the cap's digits is refused unread, before any names are built
+    message = (
+        f"error: a weyl index of more than {len(str(MAX_VARS))} significant digits "
+        f"exceeds the cap of {MAX_VARS} variables\n"
+    )
+    for index in ("10000000", "9" * 5000):
+        assert timed_run(capsys, "nf", f"catalog:weyl{index}", "t1") == (1, "", message)
 
 
 def test_non_injective_twists_exit_2_with_witness(capsys, tmp_path):

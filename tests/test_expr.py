@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from skewpbw.algebra import Poly
-from skewpbw.expr import ExprError, coeff_from_str, eval_str, parse
-from skewpbw.rings import LaurentRing, PolyRing, QQ
+from skewpbw.expr import MAX_POWER_BITS, ExprError, coeff_from_str, eval_str, parse
+from skewpbw.presentation import Presentation
+from skewpbw.rings import LaurentRing, PolyRing, PrimeField, QQ
 from skewpbw.rng import Stream
 
 from .genutil import random_elem, random_poly
@@ -124,3 +125,34 @@ def test_round_trip_coefficient_texts():
         for _ in range(50):
             x = random_elem(ring, stream, 2)
             assert coeff_from_str(str(x), ring) == x, (ring.describe(), str(x))
+
+
+_HOLDS = "power of a {}-term constant would hold about {} bits, above"
+
+
+@pytest.mark.parametrize(
+    "src, col, why",
+    [
+        # every constant power is sized before any arithmetic, one-term ones too
+        ("(3/2)^1000000", 6, _HOLDS.format(1, "2.58e+06")),
+        ("(3/2*q)^1000000", 8, _HOLDS.format(1, "2.58e+06")),
+        ("(3/2)^30000000", 6, "exponent 30000000 on a 1-term constant is above"),
+        ("2^100000000", 2, "exponent 100000000 on a 1-term constant is above"),
+        ("(q+1)^20000", 6, _HOLDS.format(2, "4e+08")),
+    ],
+)
+def test_constant_power_refusals(quantum_plane, src, col, why):
+    with pytest.raises(ExprError) as info:
+        eval_str(src, quantum_plane)
+    assert info.value.args == (f"line 1 col {col}: {why} the cap of {MAX_POWER_BITS}",)
+
+
+def test_constant_powers_whose_size_does_not_grow(quantum_plane):
+    """A unit monomial over Q, and any one-term constant over F_p, takes
+    any exponent: its predicted size does not depend on k."""
+    k = 10**20
+    q = quantum_plane.ring.generator("q")
+    assert eval_str(f"q^{k}*(-1)^{k + 1}", quantum_plane) == Poly.const(quantum_plane, -q**k)
+    assert eval_str(f"(-q)^-{k}", quantum_plane) == Poly.const(quantum_plane, q**-k)
+    f5 = Presentation(PrimeField(5), ["x"])
+    assert eval_str(f"2^{k}", f5) == Poly.const(f5, f5.ring.from_int(pow(2, k, 5)))

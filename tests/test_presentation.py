@@ -24,6 +24,7 @@ from skewpbw.rings import (
     PrimeField,
     QQ,
     RingMap,
+    RingMismatchError,
     SigmaDerivation,
 )
 from skewpbw.rng import Stream
@@ -770,3 +771,58 @@ def test_fingerprint_stability(catalog_entries):
                 assert hash(P) == hash(Q)
                 equal_pairs += P is not Q
     assert equal_pairs > len(pool)  # equality across distinct instances is exercised
+
+
+_QT = PolyRing(QQ, ("t",))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: Presentation(QQ, ["1u"]), PresentationError,
+            "invalid variable name '1u'", id="name",
+        ),
+        pytest.param(
+            lambda: Presentation(PolyRing(QQ, ("x1",)), ["u"]), PresentationError,
+            "coefficient generator 'x1' would shadow positional variable names", id="shadow",
+        ),
+        pytest.param(
+            lambda: Presentation(QQ, ["u", "v"], sigma=[RingMap.identity(QQ)]),
+            PresentationError, "need 2 twist maps, got 1", id="twist-count",
+        ),
+        pytest.param(
+            lambda: Presentation(_QT, ["u"], sigma=[RingMap.identity(QQ)]),
+            RingMismatchError, "twist map over a different ring", id="twist-ring",
+        ),
+        pytest.param(
+            lambda: Presentation(QQ, ["u"], delta=[]), PresentationError,
+            "need 1 derivations, got 0", id="derivation-count",
+        ),
+        pytest.param(
+            lambda: Presentation(_QT, ["u"], delta=[SigmaDerivation.zero(QQ)]),
+            RingMismatchError, "derivation over a different ring", id="derivation-ring",
+        ),
+        pytest.param(
+            lambda: Presentation(
+                _QT,
+                ["u"],
+                sigma=[RingMap.from_images(_QT, {"t": 2 * _QT.generator("t")})],
+                delta=[SigmaDerivation.zero(_QT)],
+            ),
+            PresentationError, "derivation 0 is not twisted by twist 0", id="derivation-twist",
+        ),
+        pytest.param(
+            lambda: Presentation(QQ, ["u", "v"], c={(0, 1): "q"}), PresentationError,
+            "parameter 'q' is not a ring element", id="parameter-type",
+        ),
+        pytest.param(
+            lambda: Presentation(QQ, ["u", "v"], d={(0, 1): _QT.generator("t")}),
+            RingMismatchError, "parameter from a different ring", id="parameter-ring",
+        ),
+    ],
+)
+def test_constructor_refusals(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert info.value.args == (message,)

@@ -431,3 +431,34 @@ def test_capped_straightening_leaves_a_pure_memo(monkeypatch):
     monkeypatch.undo()
     assert reduce_p(word, P) == reduce_p(word, fresh)
     assert star_oracle(f, g) == star_oracle(Poly(fresh_q, f.terms), Poly(fresh_q, g.terms))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda W: normalize_h(FreeElem.from_word((Var(0),) * 17), W), WordLengthError,
+            "word of length 17 exceeds cap 16", id="normalize-h",
+        ),
+        pytest.param(
+            lambda W: reduce_p((Var(1),) * 17, W), WordLengthError,
+            "word of length 17 exceeds cap 16", id="reduce-p",
+        ),
+        pytest.param(
+            lambda W: star_oracle(Poly.variable(W, 0) ** 32, Poly.variable(W, 1) ** 32),
+            WordLengthError, "word of length 66 exceeds cap 64", id="star-oracle",
+        ),
+        pytest.param(
+            lambda W: h_word((Var(2),), W), ValueError,
+            "variable index 2 out of range for 2 variables", id="variable",
+        ),
+        pytest.param(
+            lambda W: h_word((Scalar(PrimeField(5).one()), Var(0)), W), ValueError,
+            "scalar letter 1 lies in F_5, not in Q", id="scalar",
+        ),
+    ],
+)
+def test_word_refusals(weyl1, build, error, message):
+    with pytest.raises(error) as info:
+        build(weyl1)
+    assert info.value.args == (message,)

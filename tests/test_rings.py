@@ -781,3 +781,45 @@ def test_combine_terms_sums_scaled_terms_against_dicts():
     parts = [(None, [(0, t), (1, one)]), (QT._neg(one), [(1, one), (0, t)]), (None, [(0, t)])]
     assert combine_terms(QT, parts) == ((0, t),)
     assert combine_terms(QT, [((), [(0, t)])]) == ()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: PolyRing(QQ, ("t t",)), ValueError, "invalid generator name 't t'", id="name",
+        ),
+        pytest.param(
+            lambda: PolyRing(QQ, ()), ValueError, "PolyRing needs at least one generator",
+            id="no-generator",
+        ),
+        pytest.param(
+            lambda: PolyRing(QQ, ("t", "t")), ValueError, "duplicate polynomial generators",
+            id="duplicate",
+        ),
+        pytest.param(
+            lambda: PolyRing(LaurentRing(QQ, "q"), ("q",)), ValueError,
+            "polynomial generators collide with base generators", id="collide",
+        ),
+        pytest.param(
+            lambda: RingMap.from_images(QT, {"t": QQ.one()}), RingMismatchError,
+            "a map image lies in a different ring", id="image-ring",
+        ),
+        pytest.param(
+            lambda: RingMap.identity(QT).apply(QQ.one()), RingMismatchError,
+            "element belongs to a different ring", id="map-apply",
+        ),
+        pytest.param(
+            lambda: SigmaDerivation.from_images(QT, RingMap.identity(QQ), {}), RingMismatchError,
+            "twist acts on a different ring", id="derivation-twist",
+        ),
+        pytest.param(
+            lambda: SigmaDerivation.zero(QT).apply(QQ.one()), RingMismatchError,
+            "element belongs to a different ring", id="derivation-apply",
+        ),
+    ],
+)
+def test_ring_and_map_constructor_refusals(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert info.value.args == (message,)

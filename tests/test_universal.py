@@ -8,7 +8,7 @@ from skewpbw.algebra import Poly, star
 from skewpbw.catalog import all_presentations, get
 from skewpbw.presentation import Presentation
 from skewpbw.reduction import star_oracle
-from skewpbw.rings import LaurentRing, PolyRing, QQ
+from skewpbw.rings import LaurentRing, PolyRing, QQ, RingMismatchError
 from skewpbw.rng import Stream
 from skewpbw.universal import (
     HomSpec,
@@ -350,3 +350,47 @@ def test_identity_never_builds_the_digest():
         assert verify_mutual_inverse(identity_spec(P), identity_spec(P)), name
         assert verify_mutual_inverse(spec, identity_spec(Q)), name
         assert P._fingerprint is None and Q._fingerprint is None, name
+
+
+def _q_image(P):
+    return {"q": Poly.const(P, P.ring.generator("q"))}
+
+
+def _variables(P):
+    return tuple(Poly.variable(P, i) for i in range(P.n))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: HomSpec(
+                get("quantum_plane"), get("quantum_plane"), _q_image(get("diffusion2")),
+                _variables(get("quantum_plane")),
+            ),
+            HomSpecError, "phi(q) is not a target polynomial", id="phi-target",
+        ),
+        pytest.param(
+            lambda: HomSpec(get("weyl1"), get("weyl1"), {}, _variables(get("weyl2"))[:2]),
+            HomSpecError, "variable image is not a target polynomial", id="y-target",
+        ),
+        pytest.param(
+            lambda: identity_spec(get("weyl1")).map_coeff(get("quantum_plane").ring.one()),
+            RingMismatchError, "map_coeff expects a source coefficient", id="map-coeff",
+        ),
+        pytest.param(
+            lambda: extend_hom(identity_spec(get("weyl1")), Poly.one(get("quantum_plane"))),
+            HomSpecError, "extend_hom expects a source polynomial", id="extend-hom",
+        ),
+        pytest.param(
+            lambda: verify_mutual_inverse(
+                identity_spec(get("weyl1")), identity_spec(get("quantum_plane"))
+            ),
+            HomSpecError, "specs do not point at each other", id="mutual-inverse",
+        ),
+    ],
+)
+def test_seed_refusals(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert info.value.args == (message,)

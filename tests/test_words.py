@@ -50,10 +50,9 @@ def test_is_standard():
 
 
 def test_rightmost_violation_cases():
-    v = rightmost_violation((Var(0), Scalar(R), Var(1)))
-    assert v is not None and v.pos == 0 and v.kind == "scalar"
-    v = rightmost_violation((Var(1), Var(0), Var(2)))
-    assert v is not None and v.pos == 0 and v.kind == "vars"
+    assert rightmost_violation((Var(0), Scalar(R), Var(1))) == 0
+    assert rightmost_violation((Var(1), Var(0), Var(2))) == 0
+    assert rightmost_violation((Var(2), Var(1), Var(0), Scalar(R))) == 2
     assert rightmost_violation((Scalar(R), Var(0), Var(1))) is None
 
 
@@ -70,9 +69,9 @@ def test_violation_right_context_standard():
     stream = Stream(19)
     for _ in range(300):
         w = random_word(P, stream, 8)
-        v = rightmost_violation(w)
-        if v is not None:
-            assert is_standard(w[v.pos + 1 :])
+        s = rightmost_violation(w)
+        if s is not None:
+            assert is_standard(w[s + 1 :])
 
 
 def test_scalar_prefix_invariance():
