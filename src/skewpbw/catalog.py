@@ -231,14 +231,17 @@ def names() -> list[str]:
     return ["weyl"] + sorted(_FIXED)
 
 
-def get(name: str, param: int | None = None) -> Presentation:
+def get(name: str, param: int | str | None = None) -> Presentation:
     """Fetch a catalog presentation.  ``weyl`` needs its index, either as the
     param argument or fused into the name (weyl1, weyl2, ...).  A fused
-    index is read like a positional alias, by read_index."""
+    index is read like a positional alias, by read_index, and so is an index
+    given as text, as the command line gives it."""
     if name in _FIXED:
         if param is not None:
             raise ValueError(f"{name} takes no parameter")
         return _FIXED[name]()
+    if name == "weyl" and isinstance(param, str):
+        name, param = name + param, None
     if name == "weyl":
         if param is None:
             raise ValueError("weyl needs an index parameter, e.g. weyl(1)")

@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list built-in presentations or show one")
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("name", nargs="?")
-    p.add_argument("--params", type=int, default=None)
+    p.add_argument("--params")
     p.set_defaults(func=cmd_catalog)
 
     return top

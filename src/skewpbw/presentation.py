@@ -258,17 +258,6 @@ class Presentation:
         )
 
 
-def derived_params(P: Presentation, j: int, i: int):
-    """Parameters of the mirrored pair: from x_j x_i = c_ij x_i x_j + ...
-    with i < j, solve for x_i x_j.  Needs c_ij invertible."""
-    if not 0 <= i < j < P.n:
-        raise ValueError("derived_params expects j > i")
-    c_ji = P.c_of(i, j).inverse()
-    d_ji = -c_ji * P.d_of(i, j)
-    a_ji = tuple(-c_ji * a for a in P.a_vector(i, j))
-    return c_ji, d_ji, a_ji
-
-
 # ---------------------------------------------------------------------------
 # consistency reports
 

@@ -40,8 +40,12 @@ from .rings import add_terms, combine_terms
 from .words import FreeElem, Scalar, Var, Word, complexity, is_standard
 from .words import rightmost_violation, word_str
 
-DEFAULT_MAX_WORD_LEN = 16
-ORACLE_MAX_WORD_LEN = 64  # star_oracle's cap: section words grow with the degrees
+# word-length caps, one per route: the literal route reduce_p, and the
+# coalescing route normalize_h, which star_oracle's section words reach as
+# the degrees grow.  MAX_NEW_PAIRS bounds the pairs a call stores, but not
+# the rewrite steps taken before a store, and those grow with the length.
+LITERAL_MAX_WORD_LEN = 16
+ORACLE_MAX_WORD_LEN = 64
 # (key, coefficient) pairs that one call of reduce_p or normalize_h may store
 # in its memo; an entry whose value is zero counts as one pair
 MAX_NEW_PAIRS = 500_000
@@ -187,8 +191,8 @@ def reduce_p(w: Word, P, *, check_descent: bool = False) -> FreeElem:
     the check on every word that differs from it only there.
     """
     w = tuple(w)
-    if len(w) > DEFAULT_MAX_WORD_LEN:
-        raise WordLengthError(f"word of length {len(w)} exceeds cap {DEFAULT_MAX_WORD_LEN}")
+    if len(w) > LITERAL_MAX_WORD_LEN:
+        raise WordLengthError(f"word of length {len(w)} exceeds cap {LITERAL_MAX_WORD_LEN}")
     _check_letters(w, P)
 
     def expand(cur):
@@ -310,12 +314,7 @@ def _h_reduce(roots, P) -> dict:
     return cache
 
 
-def normalize_h(
-    e: FreeElem,
-    P,
-    *,
-    max_len: int = DEFAULT_MAX_WORD_LEN,
-) -> Poly:
+def normalize_h(e: FreeElem, P) -> Poly:
     """Straighten then collapse: the normalization onto standard monomials.
 
     Evaluated along the coalescing fast path of _h_reduce; equal to
@@ -327,8 +326,8 @@ def normalize_h(
     ring = P.ring
     scaled = []  # (raw multiplier, word with no leading scalar)
     for w, m in e:
-        if len(w) > max_len:
-            raise WordLengthError(f"word of length {len(w)} exceeds cap {max_len}")
+        if len(w) > ORACLE_MAX_WORD_LEN:
+            raise WordLengthError(f"word of length {len(w)} exceeds cap {ORACLE_MAX_WORD_LEN}")
         _check_letters(w, P)
         split = _coalesce(tuple(w), ring)
         if split is not None:
@@ -348,8 +347,7 @@ def star_oracle(f: Poly, g: Poly) -> Poly:
     """Word-level product: normalize(section(f) . section(g)).
 
     Independent of the exponent-level engine in algebra.star; used to
-    cross-check it, with the looser length cap ORACLE_MAX_WORD_LEN.
+    cross-check it.
     """
     f._same(g)
-    words = section_t(f).concat(section_t(g))
-    return normalize_h(words, f.pres, max_len=ORACLE_MAX_WORD_LEN)
+    return normalize_h(section_t(f).concat(section_t(g)), f.pres)

@@ -95,22 +95,6 @@ def complexity(w: Word) -> tuple[int, int, int]:
     return (a, b, c)
 
 
-def is_standard(w: Word) -> bool:
-    """True iff all scalars precede all variables and variable indices are
-    nondecreasing, i.e. complexity is (a, 0, 0)."""
-    last_var = -1
-    seen_var = False
-    for letter in w:
-        if isinstance(letter, Var):
-            if letter.index < last_var:
-                return False
-            last_var = letter.index
-            seen_var = True
-        elif seen_var:
-            return False
-    return True
-
-
 def rightmost_violation(w: Word) -> int | None:
     """Position s of the rightmost adjacent out-of-order pair (w[s], w[s+1]),
     either (variable, scalar) or (variable j, variable i) with i < j, or None
@@ -124,6 +108,12 @@ def rightmost_violation(w: Word) -> int | None:
         if isinstance(right, Scalar) or right.index < left.index:
             return s
     return None
+
+
+def is_standard(w: Word) -> bool:
+    """True iff all scalars precede all variables and variable indices are
+    nondecreasing, i.e. complexity is (a, 0, 0): no violation is left."""
+    return rightmost_violation(w) is None
 
 
 class FreeElem:

@@ -283,6 +283,28 @@ MUTANTS = [
         "    if len(terms) > 1 and (excess := _power_excess(",
         ["tests/test_expr.py"],
     ),
+    # -- one rule for a weyl index, one word-length cap per route ----------
+    (
+        "a command-line weyl index is read by int",
+        CATALOG,
+        "        name, param = name + param, None",
+        "        param = int(param)",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "normalize_h takes reduce_p's word-length cap",
+        REDUCTION,
+        "        if len(w) > ORACLE_MAX_WORD_LEN:",
+        "        if len(w) > LITERAL_MAX_WORD_LEN:",
+        ["tests/test_reduction.py", "tests/test_cli.py"],
+    ),
+    (
+        "is_standard accepts every word",
+        "words.py",
+        "    return rightmost_violation(w) is None",
+        "    return True",
+        ["tests/test_words.py"],
+    ),
     # -- kept from the hand-made mutants of earlier changes ---------------
     (
         "star skips its final division",

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import skewpbw
 from skewpbw import cli, reduction
 from skewpbw.algebra import ExponentCapError, Poly
 from skewpbw.jsonio import presentation_to_json
@@ -28,6 +33,17 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv, timeout):
+    """The CLI in a fresh interpreter that imports this process's skewpbw;
+    subprocess.TimeoutExpired fails the test past ``timeout`` seconds."""
+    env = dict(os.environ, PYTHONPATH=str(Path(skewpbw.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewpbw.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def broken_jacobi_json(tmp_path):
@@ -210,10 +226,10 @@ def test_cli_round_trip_nf(capsys):
     assert out.strip() == first
 
 
-def timed_run(capsys, *argv):
+def timed_run(capsys, *argv, limit=1.0):
     start = time.perf_counter()
     result = run(capsys, *argv)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < limit
     return result
 
 
@@ -461,6 +477,10 @@ def test_power_of_the_last_variable_is_pushed_once(capsys):
     # power of x2 already to its right
     code, out, err = timed_run(capsys, "mul", "catalog:quantum_plane", "x2^1000", "x1^1000")
     assert (code, out, err) == (0, "q^1000000*x1^1000*x2^1000\n", "")
+    # twists that fix q cost one product per (b, c)-term
+    argv = ("mul", "catalog:quantum_matrices2", "x2^24", "x1^24")
+    code, out, err = timed_run(capsys, *argv, limit=30)
+    assert (code, err) == (0, "") and out.startswith("x1^24*x2^24")
 
 
 def test_weyl_power_product_closed_form(capsys):
@@ -506,12 +526,9 @@ def test_variable_count_is_capped(capsys, tmp_path):
     message = f"error: {2 * n} variables exceed the cap of {MAX_VARS}\n"
     assert timed_run(capsys, "nf", f"catalog:weyl{n}", "t1") == (1, "", message)
     # a fused index past the cap's digits is refused unread, before any names are built
-    message = (
-        f"error: a weyl index of more than {len(str(MAX_VARS))} significant digits "
-        f"exceeds the cap of {MAX_VARS} variables\n"
-    )
     for index in ("10000000", "9" * 5000):
-        assert timed_run(capsys, "nf", f"catalog:weyl{index}", "t1") == (1, "", message)
+        expected = (1, "", f"error: {_LONG_INDEX}\n")
+        assert timed_run(capsys, "nf", f"catalog:weyl{index}", "t1") == expected
 
 
 def test_non_injective_twists_exit_2_with_witness(capsys, tmp_path):
@@ -550,6 +567,23 @@ def test_check_json_injectivity_is_structural_on_the_catalog(capsys):
         }, name
 
 
+def test_check_json_decides_injectivity_over_f_p(capsys, tmp_path):
+    # zero Jacobians over F_7[t, u]: t -> t^7 is injective, t -> u is not,
+    # with a kernel element; both verdicts are structural
+    ring = {"kind": "poly", "base": {"kind": "prime_field", "p": 7}, "vars": ["t", "u"]}
+    path = tmp_path / "f7.json"
+    for image, code, verdict, witness in [
+        ("t^7", 0, "injective", None),
+        ("u", 2, "not injective", "sigma1(t - u) = 0"),
+    ]:
+        path.write_text(json.dumps({"ring": ring, "vars": ["x"], "sigma": [{"t": image}]}))
+        got, out, err = timed_run(capsys, "check", str(path), "--json", limit=30)
+        item = json.loads(out)["condition1"][0]
+        assert (got, item["injectivity"], item["injectivity_mode"], item["witness"]) == (
+            code, verdict, "structural", witness,
+        )
+
+
 def test_unprintable_parameter_does_not_block_products(capsys, tmp_path):
     """Presentation identity never prints the parameters: a d too long to
     print stops only the commands that print it."""
@@ -575,6 +609,10 @@ def test_products_at_the_variable_cap_do_bounded_work(capsys, tmp_path):
     path.write_text(json.dumps({"ring": {"kind": "rationals"}, "vars": names}))
     assert timed_run(capsys, "mul", str(path), "v1", "v0", "--verify") == (0, "x1*x2\n", "")
     assert timed_run(capsys, "nf", str(path), "v1*v0") == (0, "x1*x2\n", "")
+    # weyl500 has MAX_VARS variables and 499500 pairs, written without their
+    # n-slot a lists
+    code, out, err = run_fresh("catalog", "show", "weyl", "--params", "500", timeout=60)
+    assert (code, err, len(json.loads(out)["relations"])) == (0, "", 499500)
 
 
 @pytest.mark.parametrize(
@@ -596,13 +634,28 @@ def test_products_at_the_variable_cap_do_bounded_work(capsys, tmp_path):
             ("nf", "catalog:u_sl2", "(1/2*x3 - 2/3)*(3/4*x2 + 1/5*x1*x3)"),
             "1/10*x1*x3^2 + 1/15*x1*x3 + 3/8*x2*x3 - 5/4*x2",
         ),
+        (
+            ("mul", "catalog:u_sl2", "1/2*x3^2 + 2/3*x1", "(3/5*x2 - 1/7)*x1", "--verify"),
+            "3/10*x1*x2*x3^2 + 2/5*x1^2*x2 - 1/14*x1*x3^2 - 3/10*x3^3 - 2/21*x1^2"
+            " - 24/35*x1*x3 - 2/7*x1",
+        ),
     ],
 )
 def test_fractional_products_print_byte_for_byte(capsys, argv, printed):
-    assert run(capsys, *argv) == (0, printed + "\n", "")
+    assert timed_run(capsys, *argv, limit=60) == (0, printed + "\n", "")
 
 
 def test_oracle_work_cap_is_a_one_line_error(capsys, monkeypatch):
+    # at the real cap: a product just under it verifies, one past it stops
+    argv = ("mul", "catalog:diffusion2", "x2^6", "x1^6", "--verify")
+    code, out, err = timed_run(capsys, *argv, limit=30)
+    assert (code, err) == (0, "") and out.startswith("q^36*x1^6*x2^6")
+    message = (
+        f"error: straightening needs more than {reduction.MAX_NEW_PAIRS} new memo pairs; "
+        "the input is too large for the word-level oracle\n"
+    )
+    argv = ("mul", "catalog:diffusion2", "x2^9", "x1^9", "--verify")
+    assert run_fresh(*argv, timeout=120) == (1, "", message)
     argv = ("mul", "catalog:diffusion2", "x2^3", "x1^3", "--verify")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.startswith("q^9*x1^3*x2^3 + ")
@@ -655,7 +708,7 @@ def test_over_long_integer_literals_are_positioned_errors(capsys, tmp_path):
     for p in (nines, "-" + nines):
         path.write_text('{"ring": {"kind": "prime_field", "p": ' + p + '}, "vars": ["x"]}')
         expected = (1, "", f"error: {path}: integer has more than {MAX_PRINT_DIGITS} digits\n")
-        assert run(capsys, "nf", str(path), "x") == expected
+        assert timed_run(capsys, "nf", str(path), "x") == expected
 
 
 def test_large_prime_fields_are_decided_or_capped(capsys, tmp_path):
@@ -691,87 +744,122 @@ def _spec(**fields):
     return {"source": "catalog:weyl1", "target": "catalog:weyl1", "y": ["x1", "x2"], **fields}
 
 
+_LONG_INDEX = (
+    f"a weyl index of more than {len(str(MAX_VARS))} significant digits "
+    f"exceeds the cap of {MAX_VARS} variables"
+)
+
+
 @pytest.mark.parametrize(
-    "command, data, arg, message",
+    "argv, data, message",
     [
-        # schema errors name the field path; data is the file's JSON
-        pytest.param("nf", [], "x", "presentation: expected an object", id="not-an-object"),
-        pytest.param("nf", _pres(names="x"), "x", "vars: expected a list of strings", id="vars"),
+        # schema errors name the field path; data is the JSON of a file that
+        # the test puts right after the command
+        pytest.param(("nf", "x"), [], "presentation: expected an object", id="not-an-object"),
+        pytest.param(("nf", "x"), _pres(names="x"), "vars: expected a list of strings", id="vars"),
         pytest.param(
-            "nf", _pres({"kind": "prime_field", "p": "5"}), "x",
+            ("nf", "x"), _pres({"kind": "prime_field", "p": "5"}),
             "ring: p must be an integer", id="p-string",
         ),
         pytest.param(
-            "nf", _pres({"kind": "prime_field", "p": True}), "x",
+            ("nf", "x"), _pres({"kind": "prime_field", "p": True}),
             "ring: p must be an integer", id="p-bool",
         ),
         pytest.param(
-            "nf", _pres(_LAURENT, sigma=[5, {}]), "x",
+            ("nf", "x"), _pres({"kind": "prime_field", "p": 10**29 + 331}, names=["x"]),
+            f"prime field p must be below {PRIME_CAP}, got {10**29 + 331}", id="p-cap",
+        ),
+        pytest.param(
+            ("nf", "x"), _pres(_LAURENT, sigma=[5, {}]),
             "sigma[0]: expected an object mapping generators to expressions", id="sigma-entry",
         ),
         pytest.param(
-            "nf", _pres(sigma={}), "x", "sigma: expected a list of 2 objects", id="sigma",
+            ("nf", "x"), _pres(sigma={}), "sigma: expected a list of 2 objects", id="sigma",
         ),
         pytest.param(
-            "nf", _pres(delta=[{}]), "x", "delta: expected a list of 2 objects", id="delta",
+            ("nf", "x"), _pres(delta=[{}]), "delta: expected a list of 2 objects", id="delta",
         ),
         pytest.param(
-            "nf", _relation(i="1"), "x", "relations[0]: i and j must be integers", id="i-string",
+            ("nf", "x"), _pres(relations=5), "relations: expected a list of objects",
+            id="relations-number",
         ),
         pytest.param(
-            "nf", _relation(i=True), "x", "relations[0]: i and j must be integers", id="i-bool",
+            ("nf", "x"), _relation(i="1"), "relations[0]: i and j must be integers", id="i-string",
         ),
         pytest.param(
-            "nf", _relation(j=True), "x", "relations[0]: i and j must be integers", id="j-bool",
+            ("nf", "x"), _relation(i=True), "relations[0]: i and j must be integers", id="i-bool",
         ),
         pytest.param(
-            "nf", _relation(a=["0"]), "x", "relations[0].a: expected a list of 2 expressions",
+            ("nf", "x"), _relation(j=True), "relations[0]: i and j must be integers", id="j-bool",
+        ),
+        pytest.param(
+            ("nf", "x"), _relation(a=["0"]), "relations[0].a: expected a list of 2 expressions",
             id="a-length",
         ),
         pytest.param(
-            "nf", _relation(c=2), "x", "relations[0].c: expected an expression string",
+            ("nf", "x"), _relation(c=2), "relations[0].c: expected an expression string",
             id="c-number",
         ),
         pytest.param(
-            "nf", _pres(names=[_LONG]), "1",
+            ("check",), _pres(_LAURENT, relations=[{"i": 1, "j": 2, "c": "(q"}]),
+            "relations[0].c: line 1 col 3: expected ')', got ''", id="c-parse",
+        ),
+        pytest.param(
+            ("nf", "1"), _pres(names=[_LONG]),
             f"positional name {_LONG!r} must sit at slot {_LONG[1:]}", id="long-positional-var",
         ),
         pytest.param(
-            "hom", _spec(source=5), "--check-only",
+            ("nf", "1/5"), _pres({"kind": "prime_field", "p": 5}, names=["x"]),
+            "line 1 col 3: denominator divisible by 5", id="fraction-over-f5",
+        ),
+        pytest.param(
+            ("hom", "--check-only"), _spec(source=5),
             "homspec: source and target must be strings", id="homspec-source",
         ),
         pytest.param(
-            "hom", _spec(phi=[]), "--check-only", "homspec.phi: expected an object",
+            ("hom", "--check-only"), _spec(phi=[]), "homspec.phi: expected an object",
             id="homspec-phi",
         ),
-        # parse errors name the line and column; arg is an expression over weyl1
+        # parse errors name the line and column
         pytest.param(
-            "nf", None, "x1 +\n  x3", "line 2 col 3: unknown identifier 'x3'", id="second-line",
+            ("nf", "catalog:weyl1", "x1 +\n  x3"), None, "line 2 col 3: unknown identifier 'x3'",
+            id="second-line",
         ),
         pytest.param(
-            "nf", None, "x1 $ x2", "line 1 col 4: unexpected character '$'", id="character",
+            ("nf", "catalog:weyl1", "x1 $ x2"), None, "line 1 col 4: unexpected character '$'",
+            id="character",
         ),
         pytest.param(
-            "nf", None, "x1 +", "line 1 col 5: unexpected 'end of input'", id="end-of-input",
+            ("nf", "catalog:weyl1", "x1 +"), None, "line 1 col 5: unexpected 'end of input'",
+            id="end-of-input",
         ),
         pytest.param(
-            "nf", None, "1/x1", "line 1 col 3: fraction needs an integer denominator",
-            id="fraction",
+            ("nf", "catalog:weyl1", "1/x1"), None,
+            "line 1 col 3: fraction needs an integer denominator", id="fraction",
         ),
         pytest.param(
-            "nf", None, _LONG, f"line 1 col 1: unknown identifier {_LONG!r}",
+            ("nf", "catalog:weyl1", _LONG), None, f"line 1 col 1: unknown identifier {_LONG!r}",
             id="long-positional-name",
+        ),
+        # a weyl index on the command line is read like a fused one
+        pytest.param(
+            ("catalog", "show", "weyl", "--params", "\u0665"), None,
+            "unknown catalog entry 'weyl\u0665'", id="params-arabic-indic",
+        ),
+        pytest.param(
+            ("catalog", "show", "weyl", "--params", "9" * 5000), None, _LONG_INDEX,
+            id="params-5000",
         ),
     ],
 )
-def test_malformed_input_ends_in_one_line(capsys, tmp_path, command, data, arg, message):
-    """Exit 1, nothing on stdout, and one error line naming where."""
-    target = "catalog:weyl1"
+def test_malformed_input_ends_in_one_line(capsys, tmp_path, argv, data, message):
+    """Exit 1, nothing on stdout, and one error line naming where, all
+    within timed_run's second."""
     if data is not None:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
-        target = str(path)
-    assert run(capsys, command, target, arg) == (1, "", f"error: {message}\n")
+        argv = (argv[0], str(path), *argv[1:])
+    assert timed_run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_positional_aliases_ignore_leading_zeros(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Parameter systems, derived mirror parameters, and the existence checker."""
+"""Parameter systems and the existence checker."""
 
 import time
 from fractions import Fraction
@@ -15,7 +15,6 @@ from skewpbw.presentation import (
     check_all,
     check_condition2,
     check_condition3,
-    derived_params,
     validate_structure,
 )
 from skewpbw.rings import (
@@ -50,35 +49,6 @@ def test_construction_validation():
     ):
         with pytest.raises(PresentationError):
             Presentation(QQ, ("u", "v"), **kw)
-
-
-def test_derived_params_quantum(quantum_plane):
-    q = quantum_plane.ring.generator("q")
-    c_ji, d_ji, a_ji = derived_params(quantum_plane, 1, 0)
-    assert c_ji == q.inverse()
-    assert not d_ji
-    assert all(not x for x in a_ji)
-
-
-def test_derived_params_weyl_pair(weyl1):
-    c_ji, d_ji, a_ji = derived_params(weyl1, 1, 0)
-    assert c_ji == weyl1.ring.one()
-    assert d_ji == -weyl1.ring.one()
-    assert all(not x for x in a_ji)
-
-
-def test_derived_params_round_trip(catalog_entries):
-    for name, P in catalog_entries:
-        for i in range(P.n):
-            for j in range(i + 1, P.n):
-                c_ji, d_ji, a_ji = derived_params(P, j, i)
-                # apply the mirror identities once more
-                c_back = c_ji.inverse()
-                d_back = -c_back * d_ji
-                a_back = tuple(-c_back * x for x in a_ji)
-                assert c_back == P.c_of(i, j)
-                assert d_back == P.d_of(i, j)
-                assert a_back == P.a_vector(i, j)
 
 
 def test_validate_structure_catalog_passes(catalog_entries):

@@ -437,8 +437,8 @@ def test_capped_straightening_leaves_a_pure_memo(monkeypatch):
     "build, error, message",
     [
         pytest.param(
-            lambda W: normalize_h(FreeElem.from_word((Var(0),) * 17), W), WordLengthError,
-            "word of length 17 exceeds cap 16", id="normalize-h",
+            lambda W: normalize_h(FreeElem.from_word((Var(0),) * 65), W), WordLengthError,
+            "word of length 65 exceeds cap 64", id="normalize-h",
         ),
         pytest.param(
             lambda W: reduce_p((Var(1),) * 17, W), WordLengthError,
