@@ -3,15 +3,15 @@
 A Poly is a finite map from exponent vectors (one slot per variable, entries
 in N) to nonzero coefficients, tagged with the presentation it lives over.
 This is the free left module on standard monomials; the product is the
-noncommutative one induced by the presentation's commutation rules.
+noncommutative one induced by the presentation's commutation rules.  A Poly
+holds raw ring values (see rings.CoeffRing), as the engine, its memo tables
+and rings.combine_terms do; its ``terms`` property is the CoeffElem view.
 
 The fast product below rewrites exponent vectors directly: a variable is
 pushed into a sorted monomial by repeatedly applying the variable-variable
 relation to the leftmost out-of-order generator, and variables pass
-coefficients by the twist-and-derive rule.  The engine computes on raw ring
-values (see rings.CoeffRing) and wraps coefficients in CoeffElem only at its
-edges; single steps are memoized per presentation, and the memo holds raw
-values too.  The variable-push memo factors out the last variable's power:
+coefficients by the twist-and-derive rule.  Single steps are memoized per
+presentation.  The variable-push memo factors out the last variable's power:
 x^beta x_n^m is already standard, so x_i x^gamma is x_i pushed through the
 prefix of gamma (last slot 0) with every result shifted by gamma_n in the
 last slot, and each prefix is pushed once.  Rational scalars are central
@@ -32,7 +32,6 @@ from typing import Iterable, Mapping
 from .rings import (
     CoeffElem,
     RingMismatchError,
-    add_terms,
     combine_terms,
     format_terms,
     square_multiply,
@@ -65,28 +64,35 @@ def _check_exponents(alpha: Monomial, n: int) -> None:
 class Poly:
     """An element of the extension ring in canonical form."""
 
-    __slots__ = ("pres", "terms")
+    __slots__ = ("pres", "_terms")
 
     def __init__(self, pres, terms: Mapping[Monomial, CoeffElem]):
-        clean: dict[Monomial, CoeffElem] = {}
+        clean: dict = {}
         for alpha, c in terms.items():
             alpha = tuple(alpha)
             _check_exponents(alpha, pres.n)
             if c.ring != pres.ring:
                 raise RingMismatchError("coefficient from a different ring")
             if c:
-                clean[alpha] = c
+                clean[alpha] = c.value
         self.pres = pres
-        self.terms = clean
+        self._terms = clean
 
     @classmethod
     def _trusted(cls, pres, terms: dict) -> "Poly":
-        """Wrap a term map that is already clean (tuple monomials below the
-        exponent cap, nonzero coefficients of ``pres.ring``) unchecked."""
+        """Wrap a map from monomials to raw values that is already clean
+        (tuple monomials below the exponent cap, nonzero raw values of
+        ``pres.ring``) unchecked.  The map is shared, never mutated."""
         f = object.__new__(cls)
         f.pres = pres
-        f.terms = terms
+        f._terms = terms
         return f
+
+    @property
+    def terms(self) -> dict[Monomial, CoeffElem]:
+        """The terms as a fresh {monomial: CoeffElem} dict."""
+        ring = self.pres.ring
+        return {alpha: CoeffElem(ring, v) for alpha, v in self._terms.items()}
 
     # -- constructors --------------------------------------------------------
 
@@ -117,19 +123,20 @@ class Poly:
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return all(sum(a) == 0 for a in self.terms)
+        return all(sum(a) == 0 for a in self._terms)
 
     def constant_coeff(self) -> CoeffElem:
-        return self.terms.get((0,) * self.pres.n, self.pres.ring.zero())
+        ring = self.pres.ring
+        return ring.elem(self._terms.get((0,) * self.pres.n, ring._zero()))
 
     def deg(self):
         """Total degree; None for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return None
-        return max(sum(a) for a in self.terms)
+        return max(sum(a) for a in self._terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -142,12 +149,14 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         self._same(other)
-        return Poly._trusted(self.pres, add_terms(dict(self.terms), other.terms.items()))
+        parts = ((None, self._terms.items()), (None, other._terms.items()))
+        return Poly._trusted(self.pres, dict(combine_terms(self.pres.ring, parts)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._trusted(self.pres, {a: -c for a, c in self.terms.items()})
+        neg = self.pres.ring._neg
+        return Poly._trusted(self.pres, {a: neg(v) for a, v in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -170,9 +179,13 @@ class Poly:
 
     def scale(self, r) -> "Poly":
         """Left module action r . f (coefficients multiplied in R)."""
+        ring = self.pres.ring
         if isinstance(r, (int, Fraction)):
-            r = self.pres.ring.from_fraction(r)
-        return Poly(self.pres, {a: r * c for a, c in self.terms.items()})
+            r = ring.from_fraction(r)
+        elif not (isinstance(r, CoeffElem) and r.ring == ring):
+            raise RingMismatchError(f"scale needs a number or an element of {ring.describe()}")
+        terms = combine_terms(ring, ((r.value, self._terms.items()),))
+        return Poly._trusted(self.pres, dict(terms))
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -197,18 +210,17 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.pres is other.pres or self.pres == other.pres) and self.terms == other.terms
+        return (self.pres is other.pres or self.pres == other.pres) and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.pres, frozenset(self.terms.items())))
+        # a CoeffElem hashes as its raw value: the hash of the view's items
+        return hash((self.pres, frozenset(self._terms.items())))
 
     # -- text ----------------------------------------------------------------
 
     def __str__(self):
         names = [f"x{i + 1}" for i in range(self.pres.n)]
-        return format_terms(
-            self.pres.ring, names, ((a, c.value) for a, c in self.terms.items())
-        )
+        return format_terms(self.pres.ring, names, self._terms.items())
 
     def __repr__(self):
         return f"Poly({self})"
@@ -291,22 +303,14 @@ def _var_times_terms(P, i: int, terms) -> tuple:
     return combine_terms(ring, parts)
 
 
-def _cleared(f: Poly, ring) -> tuple[list, int]:
-    """(terms of D*f as raw values, D) for D the lcm of the denominators of
-    f's coefficients, so that D*f has integral rational coefficients."""
-    den = ring._denominator
-    terms = []
-    d = 1
-    for alpha, c in f.terms.items():
-        v = c.value
-        k = den(v)
-        if k != 1:
-            d = math.lcm(d, k)
-        terms.append((alpha, v))
-    if d != 1:
-        mul, scale = ring._mul, ring._from_fraction(d)
-        terms = [(alpha, mul(scale, v)) for alpha, v in terms]
-    return terms, d
+def _cleared(f: Poly, ring) -> tuple[Iterable, int]:
+    """(terms of D*f, D) for D the lcm of the denominators of f's
+    coefficients, so that D*f has integral rational coefficients."""
+    d = math.lcm(*map(ring._denominator, f._terms.values()))
+    if d == 1:
+        return f._terms.items(), d
+    mul, scale = ring._mul, ring._from_fraction(d)
+    return [(alpha, mul(scale, v)) for alpha, v in f._terms.items()], d
 
 
 def star(f: Poly, g: Poly) -> Poly:
@@ -332,7 +336,7 @@ def star(f: Poly, g: Poly) -> Poly:
     if de != 1:
         div = ring._div_int
         out = [(alpha, div(v, de)) for alpha, v in out]
-    return Poly._trusted(P, {alpha: CoeffElem(ring, v) for alpha, v in out})
+    return Poly._trusted(P, dict(out))
 
 
 def sigma_pow(alpha: Monomial, r: CoeffElem, P) -> CoeffElem:

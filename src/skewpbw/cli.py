@@ -57,16 +57,26 @@ _KNOWN_FLAGS = {
 }
 
 
+class _Escaped(str):
+    """An argument that starts with '-' (e.g. "-x1^3"), behind a space that
+    keeps it out of option parsing; _unescape takes the space off again."""
+
+
 def _escape_expressions(argv):
-    """Keep leading-minus expressions (e.g. "-x1^3") out of option parsing
-    by prefixing a space, which the expression tokenizer ignores."""
-    out = []
-    for tok in argv:
-        if tok.startswith("-") and tok != "--" and tok.split("=", 1)[0] not in _KNOWN_FLAGS:
-            out.append(" " + tok)
-        else:
-            out.append(tok)
-    return out
+    return [
+        _Escaped(" " + tok)
+        if tok.startswith("-") and tok != "--" and tok.split("=", 1)[0] not in _KNOWN_FLAGS
+        else tok
+        for tok in argv
+    ]
+
+
+def _unescape(args):
+    """Give every parsed argument the text it was given."""
+    for name, value in vars(args).items():
+        if isinstance(value, _Escaped):
+            setattr(args, name, value[1:])
+    return args
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("homspec")
     p.add_argument("expr", nargs="?")
     p.add_argument("--check-only", action="store_true")
-    p.add_argument("--samples", type=int, default=16, help="ignored: the checks are exact")
-    p.add_argument("--seed", type=int, default=0, help="ignored: the checks are exact")
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("catalog", help="list built-in presentations or show one")
@@ -188,7 +196,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(_escape_expressions(list(argv)))
+        args = _unescape(build_parser().parse_args(_escape_expressions(list(argv))))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

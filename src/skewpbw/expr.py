@@ -163,7 +163,9 @@ class _Parser:
     def expect_op(self, text: str) -> Token:
         tok = self.take()
         if tok.kind != "OP" or tok.text != text:
-            raise ExprError(f"expected {text!r}, got {tok.text!r}", tok.line, tok.col)
+            raise ExprError(
+                f"expected {text!r}, got {tok.text or 'end of input'!r}", tok.line, tok.col
+            )
         return tok
 
     def parse(self):

@@ -36,7 +36,7 @@ trusted oracle for the fast exponent-level product in algebra.star.
 from __future__ import annotations
 
 from .algebra import Poly
-from .rings import add_terms, combine_terms
+from .rings import combine_terms
 from .words import FreeElem, Scalar, Var, Word, complexity, is_standard
 from .words import rightmost_violation, word_str
 
@@ -177,7 +177,12 @@ def _combine_words(parts) -> tuple:
     map standard words to integers."""
     acc: dict = {}
     for prefix, value in parts:
-        add_terms(acc, ((prefix + sw, m) for sw, m in value) if prefix else value)
+        for sw, m in value:
+            w = prefix + sw
+            if s := acc.get(w, 0) + m:
+                acc[w] = s
+            else:
+                acc.pop(w, None)
     return tuple(acc.items())
 
 
@@ -214,31 +219,32 @@ def reduce_p(w: Word, P, *, check_descent: bool = False) -> FreeElem:
     return FreeElem(dict(_combine_words(((prefix, cache[rest]),))))
 
 
-def reduce_elem(e: FreeElem, P, *, check_descent: bool = False) -> FreeElem:
+def reduce_elem(e: FreeElem, P) -> FreeElem:
     """Linear extension of the straightening map."""
     out = FreeElem()
     for w, m in e:
-        out = out + reduce_p(w, P, check_descent=check_descent).scale(m)
+        out = out + reduce_p(w, P).scale(m)
     return out
 
 
 def collapse_q(e: FreeElem, P) -> Poly:
     """Multiply out scalar prefixes; defined on combinations of standard
     words only."""
-    terms: dict = {}
     ring = P.ring
+    terms = []
     for w, m in e:
         if not is_standard(w):
             raise ValueError(f"word not standard: {word_str(w)}")
-        coeff = ring.one()
+        _check_letters(w, P)
+        coeff = ring._from_fraction(m)
         counts = [0] * P.n
         for letter in w:
             if isinstance(letter, Scalar):
-                coeff = coeff * letter.value
+                coeff = ring._mul(coeff, letter.value.value)
             else:
                 counts[letter.index] += 1
-        add_terms(terms, ((tuple(counts), coeff * m),))
-    return Poly(P, terms)
+        terms.append((tuple(counts), coeff))
+    return Poly._trusted(P, dict(combine_terms(ring, ((None, terms),))))
 
 
 def section_t(f: Poly) -> FreeElem:
@@ -335,8 +341,7 @@ def normalize_h(e: FreeElem, P) -> Poly:
             k = ring._from_fraction(m)
             scaled.append((k if r is None else ring._mul(r, k), rest))
     cache = _h_reduce([rest for _, rest in scaled], P)
-    terms = combine_terms(ring, [(k, cache[rest]) for k, rest in scaled])
-    return Poly(P, {mono: ring.elem(c) for mono, c in terms})
+    return Poly._trusted(P, dict(combine_terms(ring, [(k, cache[rest]) for k, rest in scaled])))
 
 
 def h_word(w: Word, P) -> Poly:

@@ -380,19 +380,6 @@ class PrimeField(_Field):
         return f"F_{self.p}"
 
 
-def add_terms(acc: dict, items) -> dict:
-    """Add (key, coefficient) pairs into a term map, dropping every key whose
-    coefficient sums to zero; returns ``acc``."""
-    for key, c in items:
-        s = acc.get(key)
-        s = c if s is None else s + c
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
-    return acc
-
-
 def combine_terms(ring: CoeffRing, parts) -> tuple:
     """The sum of r · terms over the pairs (r, terms) in ``parts``, as a
     tuple of (key, raw value) pairs: each terms is an iterable of (key, raw
@@ -513,13 +500,7 @@ class _TermRing(CoeffRing):
         return not a
 
     def _denominator(self, a):
-        den = self.base._denominator
-        d = 1
-        for _, c in a:
-            k = den(c)
-            if k != 1:
-                d = math.lcm(d, k)
-        return d
+        return math.lcm(*(self.base._denominator(c) for _, c in a))
 
     def _div_int(self, a, n):
         # n is a unit: no quotient is zero, and the order is kept

@@ -31,6 +31,7 @@ from .rings import (
     RingMap,
     RingMismatchError,
     _dependency,
+    combine_terms,
     weighted_monomials,
 )
 
@@ -159,10 +160,9 @@ def extend_hom(spec: HomSpec, f: Poly) -> Poly:
     """Termwise image of a source polynomial under the extended map."""
     if f.pres != spec.source:
         raise HomSpecError("extend_hom expects a source polynomial")
-    out = Poly.zero(spec.target)
-    for alpha, r in f.terms.items():
-        out = out + spec.map_coeff(r) * spec.y_power(alpha)
-    return out
+    elem, phi = spec.source.ring.elem, spec.map_coeff
+    parts = [(phi(elem(r)).value, spec.y_power(a)._terms.items()) for a, r in f._terms.items()]
+    return Poly._trusted(spec.target, dict(combine_terms(spec.target.ring, parts)))
 
 
 def identity_spec(P: Presentation) -> HomSpec:
@@ -196,8 +196,5 @@ def verify_mutual_inverse(spec: HomSpec, spec_back: HomSpec) -> bool:
 def basis_images_independent(spec: HomSpec, degree: int = 3) -> bool:
     """Whether the images of the standard monomials up to the given total
     degree stay linearly independent over the coefficients in the target."""
-    rows = (
-        {a: c.value for a, c in spec.y_power(alpha).terms.items()}
-        for alpha in weighted_monomials((1,) * spec.source.n, degree)
-    )
-    return _dependency(rows, spec.target.ring) is None
+    monomials = weighted_monomials((1,) * spec.source.n, degree)
+    return _dependency((spec.y_power(a)._terms for a in monomials), spec.target.ring) is None

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import CoeffElem, add_terms
+from .rings import QQ, CoeffElem, combine_terms
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -132,7 +132,8 @@ class FreeElem:
         return not self.terms
 
     def __add__(self, other: "FreeElem") -> "FreeElem":
-        return FreeElem(add_terms(dict(self.terms), other.terms.items()))
+        parts = ((None, self.terms.items()), (None, other.terms.items()))
+        return FreeElem(dict(combine_terms(QQ, parts)))
 
     def scale(self, k: int) -> "FreeElem":
         return FreeElem({w: k * m for w, m in self.terms.items()})
@@ -144,7 +145,7 @@ class FreeElem:
             for u, mu in self.terms.items()
             for v, mv in other.terms.items()
         )
-        return FreeElem(add_terms({}, pairs))
+        return FreeElem(dict(combine_terms(QQ, ((None, pairs),))))
 
     def __eq__(self, other):
         return isinstance(other, FreeElem) and self.terms == other.terms

@@ -176,9 +176,60 @@ MUTANTS = [
     (
         "extend_hom skips phi",
         UNIVERSAL,
-        "        out = out + spec.map_coeff(r) * spec.y_power(alpha)",
-        "        out = out + r * spec.y_power(alpha)",
+        "parts = [(phi(elem(r)).value, spec.y_power(a)._terms.items())",
+        "parts = [(r, spec.y_power(a)._terms.items())",
         ["tests/test_universal.py"],
+    ),
+    # -- a Poly holds raw ring values -------------------------------------
+    (
+        "Poly negation keeps the values",
+        ALGEBRA,
+        "{a: neg(v) for a, v in self._terms.items()}",
+        "{a: v for a, v in self._terms.items()}",
+        ["tests/test_algebra.py"],
+    ),
+    (
+        "Poly addition drops the second operand's terms",
+        ALGEBRA,
+        "parts = ((None, self._terms.items()), (None, other._terms.items()))",
+        "parts = ((None, self._terms.items()),)",
+        ["tests/test_algebra.py"],
+    ),
+    (
+        "Poly.scale ignores the scalar",
+        ALGEBRA,
+        "combine_terms(ring, ((r.value, self._terms.items()),))",
+        "combine_terms(ring, ((None, self._terms.items()),))",
+        ["tests/test_algebra.py"],
+    ),
+    (
+        "collapse_q ignores the multiplicity",
+        REDUCTION,
+        "        coeff = ring._from_fraction(m)",
+        "        coeff = ring._one()",
+        ["tests/test_reduction.py"],
+    ),
+    (
+        "the literal route keeps the last multiplicity of a repeated word",
+        REDUCTION,
+        "            if s := acc.get(w, 0) + m:",
+        "            if s := m:",
+        ["tests/test_reduction.py"],
+    ),
+    # -- diagnostics show the text as given --------------------------------
+    (
+        "an escaped argument keeps its space",
+        "cli.py",
+        "            setattr(args, name, value[1:])",
+        "            setattr(args, name, value)",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "the end of input is named as an empty token",
+        EXPR,
+        "got {tok.text or 'end of input'!r}",
+        "got {tok.text!r}",
+        ["tests/test_cli.py"],
     ),
     # -- integer literals -------------------------------------------------
     (

@@ -19,6 +19,7 @@ from skewpbw.algebra import (
 from skewpbw.expr import eval_str
 from skewpbw.reduction import star_oracle
 from skewpbw.rings import (
+    CoeffElem,
     LaurentRing,
     PolyRing,
     PrimeField,
@@ -30,6 +31,7 @@ from skewpbw.rings import (
 )
 from skewpbw.presentation import Presentation, check_all
 from skewpbw.rng import Stream
+from skewpbw.universal import extend_hom, identity_spec
 
 from .genutil import perturbed_presentation, random_elem, random_nonzero, random_poly
 from .test_rings import _summands
@@ -74,6 +76,46 @@ def test_one_is_identity(catalog_entries):
             f = random_poly(P, stream, 3)
             assert star(Poly.one(P), f) == f
             assert star(f, Poly.one(P)) == f
+
+
+def _sum_terms(ring, *term_maps):
+    """Sum of {monomial: CoeffElem} maps by CoeffElem addition, zeros dropped."""
+    out = {}
+    for terms in term_maps:
+        for alpha, c in terms.items():
+            out[alpha] = out.get(alpha, ring.zero()) + c
+    return {alpha: c for alpha, c in out.items() if c}
+
+
+def test_terms_view_matches_coefficient_arithmetic(catalog_entries):
+    """``terms`` is a fresh {monomial: CoeffElem} dict of nonzero elements of
+    the ring, it rebuilds the polynomial, and sums, negation, scaling and
+    extend_hom agree with CoeffElem arithmetic on it."""
+    for name, P in catalog_entries:
+        ring = P.ring
+        stream = Stream(131).split(name)
+        spec = identity_spec(P)
+        for _ in range(6):
+            f = random_poly(P, stream, 3, 4)
+            g = random_poly(P, stream, 3, 4)
+            r = random_elem(ring, stream, 1)
+            ft, gt = f.terms, g.terms
+            for c in ft.values():
+                assert isinstance(c, CoeffElem) and c.ring == ring and c, name
+            again = Poly(P, ft)
+            assert again == f and hash(again) == hash(f), name
+            ft[(7,) * P.n] = ring.one()
+            f.terms.clear()
+            assert f == again and f.terms == again.terms and (7,) * P.n not in f.terms, name
+            ft = f.terms
+            assert (f + g).terms == _sum_terms(ring, ft, gt), name
+            assert (-f).terms == {alpha: -c for alpha, c in ft.items()}, name
+            assert f.scale(r).terms == _sum_terms(ring, {a: r * c for a, c in ft.items()}), name
+            images = [
+                {beta: c * d for beta, d in spec.y_power(alpha).terms.items()}
+                for alpha, c in ft.items()
+            ]
+            assert extend_hom(spec, f).terms == _sum_terms(ring, *images) == ft, name
 
 
 def test_sigma_pow(quantum_plane):

@@ -802,7 +802,7 @@ _LONG_INDEX = (
         ),
         pytest.param(
             ("check",), _pres(_LAURENT, relations=[{"i": 1, "j": 2, "c": "(q"}]),
-            "relations[0].c: line 1 col 3: expected ')', got ''", id="c-parse",
+            "relations[0].c: line 1 col 3: expected ')', got 'end of input'", id="c-parse",
         ),
         pytest.param(
             ("nf", "1"), _pres(names=[_LONG]),
@@ -834,6 +834,10 @@ _LONG_INDEX = (
             id="end-of-input",
         ),
         pytest.param(
+            ("nf", "catalog:weyl1", "-x1 $"), None, "line 1 col 5: unexpected character '$'",
+            id="leading-minus",
+        ),
+        pytest.param(
             ("nf", "catalog:weyl1", "1/x1"), None,
             "line 1 col 3: fraction needs an integer denominator", id="fraction",
         ),
@@ -849,6 +853,10 @@ _LONG_INDEX = (
         pytest.param(
             ("catalog", "show", "weyl", "--params", "9" * 5000), None, _LONG_INDEX,
             id="params-5000",
+        ),
+        pytest.param(
+            ("catalog", "show", "weyl", "--params", "-1"), None, "unknown catalog entry 'weyl-1'",
+            id="params-negative",
         ),
     ],
 )

@@ -174,7 +174,7 @@ def test_expression_errors_name_their_field(field, where):
     obj = {"ring": _QT, "vars": ["x", "y"], **field}
     with pytest.raises(ExprError) as err:
         presentation_from_json(obj)
-    assert str(err.value) == f"{where}: line 1 col 3: expected ')', got ''"
+    assert str(err.value) == f"{where}: line 1 col 3: expected ')', got 'end of input'"
     assert (err.value.line, err.value.col) == (1, 3)
 
 
