@@ -57,18 +57,32 @@ _KNOWN_FLAGS = {
 }
 
 
+# commands whose options take no value, so every argument that is not an
+# option fills a positional slot: the presentation or homspec, then the
+# expressions
+_EXPRESSION_COMMANDS = {"nf", "mul", "hom"}
+
+
 class _Escaped(str):
     """An argument that starts with '-' (e.g. "-x1^3"), behind a space that
     keeps it out of option parsing; _unescape takes the space off again."""
 
 
 def _escape_expressions(argv):
-    return [
-        _Escaped(" " + tok)
-        if tok.startswith("-") and tok != "--" and tok.split("=", 1)[0] not in _KNOWN_FLAGS
-        else tok
-        for tok in argv
-    ]
+    """Escape every argument that starts with '-' and is no known flag.  In
+    an expression slot of nf, mul and hom, "-h" is an expression too."""
+    out = []
+    slots = 0  # the command, then the positional slots filled so far
+    for tok in argv:
+        flag = tok == "--" or tok.split("=", 1)[0] in _KNOWN_FLAGS
+        if tok == "-h" and slots >= 2 and argv[0] in _EXPRESSION_COMMANDS:
+            flag = False
+        if tok.startswith("-") and not flag:
+            tok = _Escaped(" " + tok)
+        if not tok.startswith("-"):
+            slots += 1
+        out.append(tok)
+    return out
 
 
 def _unescape(args):

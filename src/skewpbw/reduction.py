@@ -31,9 +31,17 @@ in the coefficient ring; composed with straightening it gives the
 normalization map onto the free module of standard monomials, whose product
 is normalize(section(f) . section(g)).  That word-level product is the
 trusted oracle for the fast exponent-level product in algebra.star.
+Rational scalars are central and the normalization is linear in each
+scalar letter, so star_oracle straightens the section words of the
+integral multiples D*f and E*g and scales the result by 1/(D*E) once, with
+its own D, E and Poly.scale, not with star's clearing helpers.  The
+straightening maps themselves clear nothing (docs/exactness.md).
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .algebra import Poly
 from .rings import combine_terms
@@ -220,11 +228,15 @@ def reduce_p(w: Word, P, *, check_descent: bool = False) -> FreeElem:
 
 
 def reduce_elem(e: FreeElem, P) -> FreeElem:
-    """Linear extension of the straightening map."""
-    out = FreeElem()
+    """Linear extension of the straightening map, summed in one pass."""
+    acc: dict = {}
     for w, m in e:
-        out = out + reduce_p(w, P).scale(m)
-    return out
+        for sw, k in reduce_p(w, P):
+            if s := acc.get(sw, 0) + m * k:
+                acc[sw] = s
+            else:
+                acc.pop(sw, None)
+    return FreeElem(acc)
 
 
 def collapse_q(e: FreeElem, P) -> Poly:
@@ -348,11 +360,22 @@ def h_word(w: Word, P) -> Poly:
     return normalize_h(FreeElem.from_word(tuple(w)), P)
 
 
-def star_oracle(f: Poly, g: Poly) -> Poly:
-    """Word-level product: normalize(section(f) . section(g)).
+def _denominator(f: Poly) -> int:
+    """The lcm of the denominators of f's coefficients, through every layer."""
+    return math.lcm(*map(f.pres.ring._denominator, f._terms.values()))
 
-    Independent of the exponent-level engine in algebra.star; used to
-    cross-check it.
+
+def star_oracle(f: Poly, g: Poly) -> Poly:
+    """Word-level product: normalize(section(f) . section(g)), computed on
+    the integral multiples D*f and E*g and scaled by 1/(D*E) through
+    Poly.scale.  Independent of the exponent-level engine in algebra.star
+    and of its clearing path; used to cross-check it.
     """
     f._same(g)
-    return normalize_h(section_t(f).concat(section_t(g)), f.pres)
+    d, e = _denominator(f), _denominator(g)
+    if d != 1:
+        f = f.scale(d)
+    if e != 1:
+        g = g.scale(e)
+    out = normalize_h(section_t(f).concat(section_t(g)), f.pres)
+    return out if d * e == 1 else out.scale(Fraction(1, d * e))

@@ -356,6 +356,42 @@ MUTANTS = [
         "    return True",
         ["tests/test_words.py"],
     ),
+    # -- the oracle on cleared multiples, reduce_elem in one pass, -h -----
+    (
+        "the oracle forgets its scale-back",
+        REDUCTION,
+        "    return out if d * e == 1 else out.scale(Fraction(1, d * e))",
+        "    return out",
+        ["tests/test_reduction.py"],
+    ),
+    (
+        "the oracle scales back by 1/D only",
+        REDUCTION,
+        "out.scale(Fraction(1, d * e))",
+        "out.scale(Fraction(1, d))",
+        ["tests/test_reduction.py"],
+    ),
+    (
+        "the oracle never clears",
+        REDUCTION,
+        "    d, e = _denominator(f), _denominator(g)",
+        "    d, e = 1, 1",
+        ["tests/test_reduction.py"],
+    ),
+    (
+        "reduce_elem keeps only the last word's multiplicity",
+        REDUCTION,
+        "            if s := acc.get(sw, 0) + m * k:",
+        "            if s := m * k:",
+        ["tests/test_reduction.py"],
+    ),
+    (
+        "-h in an expression slot prints help",
+        "cli.py",
+        '        if tok == "-h" and slots >= 2 and argv[0] in _EXPRESSION_COMMANDS:',
+        '        if False:',
+        ["tests/test_cli.py"],
+    ),
     # -- kept from the hand-made mutants of earlier changes ---------------
     (
         "star skips its final division",

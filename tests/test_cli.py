@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, determinism, output channels."""
 
+import hashlib
 import json
 import math
 import os
@@ -645,6 +646,21 @@ def test_fractional_products_print_byte_for_byte(capsys, argv, printed):
     assert timed_run(capsys, *argv, limit=60) == (0, printed + "\n", "")
 
 
+def test_heavy_fractional_product_verifies_byte_for_byte(capsys):
+    """The diffusion2 product whose oracle run dominated verify-cold while
+    the oracle straightened fractional scalar letters."""
+    argv = (
+        "mul", "catalog:diffusion2", "7/8*q*x2^4",
+        "(-1/7*q + 3/2 - 1/2*q^-1)*x1^4 + (-7/8*q - 8/5)*x1^2*x2", "--verify",
+    )
+    code, out, err = timed_run(capsys, *argv, limit=60)
+    assert (code, err, len(out)) == (0, "", 3764)
+    assert out.startswith("(-1/8*q^18 + 21/16*q^17 - 7/16*q^16)*x1^4*x2^4 + (-1/2*q^17 + ")
+    assert out.endswith(" + 1475/16*q^3 + 555/16*q^2 - 77/16*q - 35/4)*x2\n")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "2419edf82e7489631abef5b0c36866f25a51b1ae29739ff348cd4b66696ecd58"
+
+
 def test_oracle_work_cap_is_a_one_line_error(capsys, monkeypatch):
     # at the real cap: a product just under it verifies, one past it stops
     argv = ("mul", "catalog:diffusion2", "x2^6", "x1^6", "--verify")
@@ -838,6 +854,10 @@ _LONG_INDEX = (
             id="leading-minus",
         ),
         pytest.param(
+            ("nf", "catalog:weyl1", "-h"), None, "line 1 col 2: unknown identifier 'h'",
+            id="dash-h-expression",
+        ),
+        pytest.param(
             ("nf", "catalog:weyl1", "1/x1"), None,
             "line 1 col 3: fraction needs an integer denominator", id="fraction",
         ),
@@ -868,6 +888,23 @@ def test_malformed_input_ends_in_one_line(capsys, tmp_path, argv, data, message)
         path.write_text(json.dumps(data))
         argv = (argv[0], str(path), *argv[1:])
     assert timed_run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_dash_h_in_an_expression_slot_is_an_expression(capsys, tmp_path):
+    """After the presentation or homspec, "-h" is the negated variable h;
+    before it, and "--help" anywhere, print help."""
+    path = tmp_path / "eh.json"
+    path.write_text(json.dumps({"ring": _RAT, "vars": ["e", "h"]}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"source": "eh.json", "target": "eh.json", "y": ["x1", "x2"]}))
+    assert run(capsys, "nf", str(path), "-h") == (0, "-x2\n", "")
+    assert run(capsys, "mul", str(path), "e", "-h", "--verify") == (0, "-x1*x2\n", "")
+    assert run(capsys, "hom", str(spec), "-h") == (0, "-x2\n", "")
+    for argv in (("nf", "-h"), ("nf", str(path), "--help"), ("hom", "-h")):
+        with pytest.raises(SystemExit) as info:
+            cli.main(list(argv))
+        out = capsys.readouterr().out
+        assert info.value.code == 0 and out.startswith(f"usage: skewpbw {argv[0]} [-h]")
 
 
 def test_positional_aliases_ignore_leading_zeros(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from skewpbw import catalog
 from skewpbw.algebra import Poly, star
+from skewpbw.catalog import StructureConstants, lie_presentation
 from skewpbw.expr import eval_str
 from skewpbw.presentation import Presentation
 from skewpbw.reduction import (
@@ -19,13 +20,14 @@ from skewpbw.reduction import (
     section_t,
     star_oracle,
 )
-from skewpbw.rings import PolyRing, PrimeField, RingMap, SigmaDerivation
+from skewpbw.rings import QQ, PolyRing, PrimeField, RingMap, SigmaDerivation
 from skewpbw.rng import Stream
 from skewpbw.words import FreeElem, Scalar, Var, is_standard
 
 from .genutil import (
     dense_presentation,
     qdiff_presentation,
+    random_poly,
     random_standard_word,
     random_word,
     scalar_pool,
@@ -349,6 +351,70 @@ def test_h_is_multiplicative(catalog_entries):
             lhs = normalize_h(FreeElem.from_word(a + b), P)
             rhs = star_oracle(h_word(a, P), h_word(b, P))
             assert lhs == rhs
+
+
+def _half_integer_lie():
+    """A three-dimensional Lie algebra over Q with half-integer structure
+    constants: [x2, x1] = 1/2 x3, [x3, x1] = -3/2 x1, [x3, x2] = 3/2 x2."""
+    half = lambda k: QQ.from_fraction(Fraction(k, 2))
+    sc = StructureConstants.build(
+        QQ, 3, {(0, 1): [0, 0, half(1)], (0, 2): [half(-3), 0, 0], (1, 2): [0, half(3), 0]}
+    )
+    return lie_presentation(sc)
+
+
+def test_star_oracle_clears_denominators_exactly(catalog_entries):
+    """star_oracle, which normalizes the section words of D*f and E*g and
+    scales by 1/(D*E), equals the normalization of the uncleared section
+    words on seeded fractional pairs, also over fractional parameters."""
+    entries = _leading_scalar_entries(catalog_entries) + [("half-lie", _half_integer_lie())]
+    for name, P in entries:
+        stream = Stream(467).split(name)
+        cleared = 0
+        for _ in range(12):
+            f = random_poly(P, stream, 2)
+            g = random_poly(P, stream, 2)
+            expected = normalize_h(section_t(f).concat(section_t(g)), P)
+            assert star_oracle(f, g) == expected, name
+            denominators = (P.ring._denominator(v) for h in (f, g) for v in h._terms.values())
+            cleared += any(d != 1 for d in denominators)
+        assert cleared or isinstance(P.ring.prime_ring(), PrimeField), name
+
+
+def test_star_oracle_straightens_integral_words():
+    """On a fresh diffusion2, a fractional product leaves no fractional
+    scalar letter in any key of the normalization memo."""
+    P = catalog.get("diffusion2")
+    f = eval_str("7/8*q*x2^4", P)
+    g = eval_str("(-1/7*q + 3/2 - 1/2*q^-1)*x1^4 + (-7/8*q - 8/5)*x1^2*x2", P)
+    assert star_oracle(f, g) == star(f, g)
+    letters = [x for key in P._h_cache for x in key if isinstance(x, Scalar)]
+    assert letters
+    assert all(P.ring._denominator(x.value.value) == 1 for x in letters)
+
+
+def test_reduce_elem_sums_in_one_pass(monkeypatch):
+    """reduce_elem adds no FreeElem values, and it still equals the sum of
+    reduce_p(w).scale(m) on seeded words with multiplicities."""
+    P = catalog.get("weyl", 2)
+    stream = Stream(479)
+    # few letters, so that the words' straightenings share standard words
+    letters = [Var(i) for i in range(P.n)] + [Scalar(P.ring.from_int(2))]
+    cases = []
+    for _ in range(6):
+        words = (tuple(stream.choice(letters) for _ in range(4)) for _ in range(8))
+        e = FreeElem({w: stream.int_between(-3, 3) for w in words})
+        expected = FreeElem()
+        for w, m in e:
+            expected = expected + reduce_p(w, P).scale(m)
+        cases.append((e, expected))
+
+    def refuse(self, other):
+        raise AssertionError("FreeElem addition")
+
+    monkeypatch.setattr(FreeElem, "__add__", refuse)
+    for e, expected in cases:
+        assert reduce_elem(e, P) == expected
 
 
 def test_weyl_var_swap_through_h(weyl1):
