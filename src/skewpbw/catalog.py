@@ -18,7 +18,6 @@ Laurent generator so q-power identities stay exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping
 
 from .presentation import MAX_VARS, Presentation, PresentationError, read_index
@@ -31,20 +30,21 @@ from .rings import (
     QQ,
     Rationals,
     RingMap,
+    Value,
 )
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(Value):
     """Bracket table of a candidate Lie algebra over a field kind.
 
     ``lower[(i, j)]`` with i < j is the coefficient vector of [x_j, x_i];
     antisymmetry is built in because only one orientation is stored.
     """
 
-    ring: CoeffRing
-    n: int
-    lower: tuple[tuple[tuple[int, int], tuple[CoeffElem, ...]], ...]
+    __slots__ = _fields = ("ring", "n", "lower")
+
+    def __init__(self, ring: CoeffRing, n: int, lower: tuple):
+        self._set(ring, n, lower)  # lower: ((i, j), vector of n CoeffElems) pairs
 
     @classmethod
     def build(
@@ -244,7 +244,7 @@ def get(name: str, param: int | str | None = None) -> Presentation:
         name, param = name + param, None
     if name == "weyl":
         if param is None:
-            raise ValueError("weyl needs an index parameter, e.g. weyl(1)")
+            raise ValueError("weyl needs an index parameter, e.g. weyl1")
         return weyl(param)
     m = re.fullmatch("weyl([0-9]+)", name)
     if m:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or parse error, 2 failed consistency or
 homomorphism check, 3 product/oracle mismatch under mul --verify.
-Diagnostics go to stderr; machine-readable output goes to stdout.
+Diagnostics go to stderr; machine-readable output goes to stdout.  Only
+mul --verify loads the oracle (reduction), and only hom loads universal.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from .algebra import EXPONENT_CAP, ExponentCapError, star
 from .expr import MAX_NESTING, MAX_POWER_BITS, eval_str
 from .jsonio import load_homspec, load_presentation, presentation_to_json
 from .presentation import MAX_VARS, check_all
-from .reduction import star_oracle
 from .rings import MAX_PRINT_DIGITS, NotAUnitError
-from .universal import check_hom_conditions, extend_hom
 
 GRAMMAR_NOTES = f"""expressions:
   sum      := item (('+' | '-') item)*
@@ -167,6 +166,7 @@ def cmd_mul(args) -> int:
     g = eval_str(args.expr2, P)
     prod = star(f, g)
     if args.verify:
+        from .reduction import star_oracle
         oracle = star_oracle(f, g)
         if prod != oracle:
             print("product/oracle mismatch:", file=sys.stderr)
@@ -178,6 +178,8 @@ def cmd_mul(args) -> int:
 
 
 def cmd_hom(args) -> int:
+    from .universal import check_hom_conditions, extend_hom
+
     spec = load_homspec(args.homspec)
     report = check_hom_conditions(spec)
     if args.check_only:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import EXPONENT_CAP, Poly
@@ -50,6 +49,7 @@ from .rings import (
     CoeffElem,
     CoeffRing,
     NotAUnitError,
+    Value,
     flat_terms,
 )
 
@@ -70,12 +70,11 @@ class ExprError(ValueError):
 # tokens
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # INT, IDENT, OP, END
-    text: str
-    line: int
-    col: int
+class Token(Value):
+    __slots__ = _fields = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self._set(kind, text, line, col)  # kind: INT, IDENT, OP or END
 
 
 _TOKEN_RE = re.compile(rf"[0-9]+|{IDENT}|[-+*^()/]|\S")

@@ -50,7 +50,6 @@ from .rings import (
     RingMap,
     SigmaDerivation,
 )
-from .universal import HomSpec
 
 
 class SchemaError(ValueError):
@@ -267,6 +266,7 @@ def homspec_from_json(obj: dict, base_dir: Path | None = None) -> HomSpec:
     }
     y_list = _str_list(obj["y"], "y")
     y = tuple(_parsed(src, f"y[{k}]", eval_str, target) for k, src in enumerate(y_list))
+    from .universal import HomSpec  # only hom loads seeds: other commands skip the module
     return HomSpec(source, target, phi, y)
 
 

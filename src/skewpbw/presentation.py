@@ -26,10 +26,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
 
 from .algebra import Poly
-from .reduction import h_word, normalize_h, rewrite_step
 from .rings import (
     NAME_RE,
     QQ,
@@ -37,6 +35,7 @@ from .rings import (
     CoeffRing,
     LaurentRing,
     PolyRing,
+    Record,
     RingMap,
     RingMismatchError,
     SigmaDerivation,
@@ -44,7 +43,6 @@ from .rings import (
     flat_terms,
     weighted_monomials,
 )
-from .words import FreeElem, Scalar, Var
 
 POSITIONAL_RE = re.compile(r"^x([0-9]+)$")
 MAX_KERNEL_WORK = 400_000  # unknowns and row entries of condition 1's kernel search over F_p
@@ -262,57 +260,58 @@ class Presentation:
 # consistency reports
 
 
-@dataclass
-class Condition1Item:
-    i: int
-    endomorphism_ok: bool
-    derivation_ok: bool
-    nonzero_ok: bool  # no nonzero r with sigma_i(r) = 0 is known
-    injectivity: str  # "injective" | "not injective" | "not decided"
-    injectivity_mode: str  # "structural" | "over cap" | "skipped"
-    witness: str | None = None
+class Condition1Item(Record):
+    """nonzero_ok: no nonzero r with sigma_i(r) = 0 is known.  injectivity is
+    "injective", "not injective" or "not decided", by "structural", "over cap"
+    or "skipped" (injectivity_mode)."""
+
+    _fields = ("i", "endomorphism_ok", "derivation_ok", "nonzero_ok", "injectivity",
+               "injectivity_mode", "witness")
+
+    def __init__(self, i, endomorphism_ok, derivation_ok, nonzero_ok, injectivity,
+                 injectivity_mode, witness=None):
+        self.i, self.endomorphism_ok, self.derivation_ok = i, endomorphism_ok, derivation_ok
+        self.nonzero_ok, self.injectivity = nonzero_ok, injectivity
+        self.injectivity_mode, self.witness = injectivity_mode, witness
 
     @property
     def ok(self) -> bool:
         return self.endomorphism_ok and self.derivation_ok and self.nonzero_ok
 
 
-@dataclass
-class UnitItem:
-    i: int
-    j: int
-    ok: bool
-    value: CoeffElem
+class UnitItem(Record):
+    _fields = ("i", "j", "ok", "value")
+
+    def __init__(self, i: int, j: int, ok: bool, value: CoeffElem):
+        self.i, self.j, self.ok, self.value = i, j, ok, value
 
 
-@dataclass
-class Condition2Item:
-    i: int
-    j: int
-    r: CoeffElem
-    ok: bool
-    lhs: Poly
-    rhs: Poly
+class Condition2Item(Record):
+    _fields = ("i", "j", "r", "ok", "lhs", "rhs")
+
+    def __init__(self, i: int, j: int, r: CoeffElem, ok: bool, lhs: Poly, rhs: Poly):
+        self.i, self.j, self.r, self.ok, self.lhs, self.rhs = i, j, r, ok, lhs, rhs
 
 
-@dataclass
-class Condition3Item:
-    i: int
-    j: int
-    k: int
-    ok: bool
-    lhs: Poly
-    rhs: Poly
+class Condition3Item(Record):
+    _fields = ("i", "j", "k", "ok", "lhs", "rhs")
+
+    def __init__(self, i: int, j: int, k: int, ok: bool, lhs: Poly, rhs: Poly):
+        self.i, self.j, self.k, self.ok, self.lhs, self.rhs = i, j, k, ok, lhs, rhs
 
 
-@dataclass
-class ConsistencyReport:
-    fingerprint: str
-    condition1: list[Condition1Item] = field(default_factory=list)
-    c_units: list[UnitItem] = field(default_factory=list)
-    condition2: list[Condition2Item] = field(default_factory=list)
-    condition2_mode: str = "skipped"
-    condition3: list[Condition3Item] = field(default_factory=list)
+class ConsistencyReport(Record):
+    _fields = (
+        "fingerprint", "condition1", "c_units", "condition2", "condition2_mode", "condition3"
+    )
+
+    def __init__(self, fingerprint: str, condition1=None, c_units=None, condition2=None,
+                 condition2_mode: str = "skipped", condition3=None):
+        self.fingerprint, self.condition2_mode = fingerprint, condition2_mode
+        self.condition1 = [] if condition1 is None else condition1
+        self.c_units = [] if c_units is None else c_units
+        self.condition2 = [] if condition2 is None else condition2
+        self.condition3 = [] if condition3 is None else condition3
 
     @property
     def overall(self) -> bool:
@@ -386,11 +385,11 @@ def _item_dict(it) -> dict:
     """A report item's fields in order: indices 1-based, flags and text as
     they are, ring elements and polynomials printed."""
     out = {}
-    for f in fields(it):
-        v = getattr(it, f.name)
-        if f.name in ("i", "j", "k"):
+    for f in it._fields:
+        v = getattr(it, f)
+        if f in ("i", "j", "k"):
             v += 1
-        out[f.name] = v if isinstance(v, (int, str, type(None))) else str(v)
+        out[f] = v if isinstance(v, (int, str, type(None))) else str(v)
     return out
 
 
@@ -516,10 +515,14 @@ def validate_structure(P: Presentation) -> ConsistencyReport:
 # conditions 2 and 3: overlap checks
 
 
-def _two_orders(P: Presentation, head: tuple, last) -> tuple[bool, Poly, Poly]:
-    """Normal form of the word head + (last,) along the rightmost-first
-    reduction order, against straightening ``head`` first; (equal, lhs, rhs).
-    One move straightens the pair x_j x_i (i < j) into distinct words."""
+def _two_orders(P: Presentation, j: int, i: int, last) -> tuple[bool, Poly, Poly]:
+    """Normal form of x_j x_i last (a coefficient or a variable index) along the
+    rightmost-first order, against straightening head = x_j x_i first; (equal,
+    lhs, rhs).  One move straightens x_j x_i (i < j) into distinct words."""
+    from .reduction import h_word, normalize_h, rewrite_step
+    from .words import FreeElem, Scalar, Var
+
+    head, last = (Var(j), Var(i)), Var(last) if isinstance(last, int) else Scalar(last)
     lhs = h_word(head + (last,), P)
     rhs = normalize_h(FreeElem({w + (last,): 1 for w in rewrite_step(head, P)}), P)
     return lhs == rhs, lhs, rhs
@@ -529,14 +532,14 @@ def check_condition2(P: Presentation, i: int, j: int, r: CoeffElem) -> Condition
     """Compare the two reduction orders of the word x_j x_i r."""
     if not 0 <= i < j < P.n:
         raise ValueError("condition 2 expects i < j")
-    return Condition2Item(i, j, r, *_two_orders(P, (Var(j), Var(i)), Scalar(r)))
+    return Condition2Item(i, j, r, *_two_orders(P, j, i, r))
 
 
 def check_condition3(P: Presentation, i: int, j: int, k: int) -> Condition3Item:
     """Compare the two reduction orders of the overlap word x_k x_j x_i."""
     if not 0 <= i < j < k < P.n:
         raise ValueError("condition 3 expects i < j < k")
-    return Condition3Item(i, j, k, *_two_orders(P, (Var(k), Var(j)), Var(i)))
+    return Condition3Item(i, j, k, *_two_orders(P, k, j, i))
 
 
 def decisive_coefficients(ring: CoeffRing) -> list[CoeffElem]:

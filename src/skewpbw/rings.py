@@ -35,8 +35,8 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Any, Mapping
 
 
@@ -67,11 +67,61 @@ def _check_name(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# elements
+# value classes and elements
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class CoeffElem:
+class Record:
+    """Equality and repr from ``_fields``, the constructor's arguments in
+    order: instances of one class are equal when they are one object or
+    their fields are equal (one tuple compare), and print as
+    Name(field=value, ...), or by ``_repr_fields``.  Mutable, unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _repr_fields: tuple[str, ...] | None = None
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # with the class in it the key is a tuple, whose compare skips identical fields
+        cls._key = attrgetter(*cls._fields, "__class__")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == self._key(other)
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._repr_fields or self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Value(Record):
+    """An immutable Record: it hashes by its fields, refuses assignment
+    (_set fills the slots of a new instance, in order), and copies and
+    pickles through its constructor, which rebuilds any derived slot."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, v in zip(self.__slots__, values):
+            object.__setattr__(self, name, v)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+class CoeffElem(Value):
     """An exact element of a coefficient ring, in canonical form.
 
     Instances are immutable and hashable; two elements compare equal exactly
@@ -81,8 +131,11 @@ class CoeffElem:
     Fractions on either side.
     """
 
-    ring: "CoeffRing"
-    value: Any
+    __slots__ = _fields = ("ring", "value")
+
+    def __init__(self, ring: CoeffRing, value: Any):
+        object.__setattr__(self, "ring", ring)  # not _set: the hot loops build elements
+        object.__setattr__(self, "value", value)
 
     def _coerce(self, other):
         if isinstance(other, CoeffElem):
@@ -169,10 +222,10 @@ class CoeffElem:
 # rings
 
 
-class CoeffRing:
+class CoeffRing(Value):
     """Common interface of the four ring kinds.
 
-    Subclasses are frozen dataclasses, so rings compare and hash by content.
+    Rings are Values: they compare, hash and print by their fields.
     The ``_``-prefixed methods operate on raw canonical values; user code
     goes through CoeffElem arithmetic.  Besides the methods below, each kind
     has _zero, _one, _add, _neg, _mul, _is_zero, _is_unit, _inverse,
@@ -263,7 +316,6 @@ class _Field(CoeffRing):
         return True
 
 
-@dataclass(frozen=True, slots=True)
 class Rationals(_Field):
     def _from_fraction(self, q):
         return _rational(q)
@@ -335,15 +387,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
 class PrimeField(_Field):
-    p: int
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p >= PRIME_CAP:
-            raise ValueError(f"prime field p must be below {PRIME_CAP}, got {self.p}")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if p >= PRIME_CAP:
+            raise ValueError(f"prime field p must be below {PRIME_CAP}, got {p}")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self._set(p)
 
     def _from_fraction(self, q):
         if isinstance(q, int):
@@ -511,18 +563,16 @@ class _TermRing(CoeffRing):
         return len(a)
 
 
-@dataclass(frozen=True, slots=True)
 class LaurentRing(_TermRing):
     """base[var, var^-1] with base a field kind.  Values map int exponents to
     nonzero base values, stored as a sorted tuple."""
 
-    base: CoeffRing
-    var: str
+    __slots__ = _fields = ("base", "var")
 
-    def __post_init__(self):
-        if not isinstance(self.base, (Rationals, PrimeField)):
+    def __init__(self, base: CoeffRing, var: str):
+        if not isinstance(base, (Rationals, PrimeField)):
             raise ValueError("Laurent base must be Rationals or a prime field")
-        _check_name(self.var)
+        self._set(base, _check_name(var))
 
     def _const_key(self):
         return 0
@@ -567,24 +617,23 @@ class LaurentRing(_TermRing):
         return f"{self.base.describe()}[{self.var}^+-1]"
 
 
-@dataclass(frozen=True, slots=True)
 class PolyRing(_TermRing):
     """base[vars...] with base Rationals, a prime field, or one Laurent layer.
     Values map exponent tuples to nonzero base values."""
 
-    base: CoeffRing
-    vars: tuple[str, ...]
+    __slots__ = _fields = ("base", "vars")
 
-    def __post_init__(self):
-        if not isinstance(self.base, (Rationals, PrimeField, LaurentRing)):
+    def __init__(self, base: CoeffRing, vars: tuple[str, ...]):
+        if not isinstance(base, (Rationals, PrimeField, LaurentRing)):
             raise ValueError("PolyRing base must be Rationals, a prime field, or a Laurent ring")
-        if not self.vars:
+        if not vars:
             raise ValueError("PolyRing needs at least one generator")
-        names = [_check_name(v) for v in self.vars]
+        names = [_check_name(v) for v in vars]
         if len(set(names)) != len(names):
             raise ValueError("duplicate polynomial generators")
-        if set(names) & set(self.base.generator_names()):
+        if set(names) & set(base.generator_names()):
             raise ValueError("polynomial generators collide with base generators")
+        self._set(base, vars)
 
     def _const_key(self):
         return (0,) * len(self.vars)
@@ -670,13 +719,15 @@ def _raw_pow(ring: CoeffRing, v, e: int):
     return square_multiply(v, e, ring._one, ring._mul)
 
 
-@dataclass(frozen=True, slots=True)
 class _Triangular(CoeffRing):
     """Upper-triangular matrices [[a, b], [0, c]] over ``base``, as raw
     values (a, b, c), with just what RingMap needs to map into them.  The
     map of a twisted derivation lands here (see SigmaDerivation)."""
 
-    base: CoeffRing
+    __slots__ = _fields = ("base",)
+
+    def __init__(self, base: CoeffRing):
+        self._set(base)
 
     def _one(self):
         one = self.base._one()
@@ -719,8 +770,7 @@ def _generator_images(ring: CoeffRing, target: CoeffRing, images: Mapping, defau
     return full
 
 
-@dataclass(frozen=True, slots=True)
-class RingMap:
+class RingMap(Value):
     """A ring homomorphism from ``ring`` into ``target`` given by generator
     images: the one evaluator of maps fixed by where generators go.  The
     twists are RingMaps of a ring into itself, a homomorphism seed's
@@ -732,22 +782,20 @@ class RingMap:
     extension is not defined on negative powers.  Generator-free rings
     (Q, F_p) admit only the canonical map, which is forced.
 
-    Both derived fields are set on construction and take no part in
-    equality or hashing.  ``_identity`` holds when the target is the ring
-    and every image is its generator.  ``_coeff`` is the map restricted to
-    the coefficient layer ``ring.base``; it lands in ``target.base`` when
-    the base generators go to constants of a polynomial target, else in
-    ``target`` itself.
+    Both derived slots are set on construction and take no part in
+    equality or hashing; repr shows the first.  ``_identity`` holds when
+    the target is the ring and every image is its generator.  ``_coeff`` is
+    the map restricted to the coefficient layer ``ring.base``; it lands in
+    ``target.base`` when the base generators go to constants of a
+    polynomial target, else in ``target`` itself.
     """
 
-    ring: CoeffRing
-    images: tuple[tuple[str, CoeffElem], ...]
-    target: CoeffRing
-    _identity: bool = field(init=False, compare=False)
-    _coeff: "RingMap | None" = field(init=False, compare=False, repr=False)
+    __slots__ = ("ring", "images", "target", "_identity", "_coeff")
+    _fields = ("ring", "images", "target")
+    _repr_fields = (*_fields, "_identity")
 
-    def __post_init__(self):
-        ring, target = self.ring, self.target
+    def __init__(self, ring: CoeffRing, images: tuple, target: CoeffRing):
+        self._set(ring, images, target)
         identity = target == ring and all(img == ring.generator(g) for g, img in self.images)
         object.__setattr__(self, "_identity", identity)
         coeff = None
@@ -831,8 +879,7 @@ class RingMap:
         return target._sum(out)
 
 
-@dataclass(frozen=True, slots=True)
-class SigmaDerivation:
+class SigmaDerivation(Value):
     """A twisted derivation: additive, with d(ab) = twist(a) d(b) + d(a) b.
 
     Determined by its values on generators; d vanishes on the prime field.
@@ -850,10 +897,14 @@ class SigmaDerivation:
     construction on the whole ring.  The zero derivation has no matrix map.
     """
 
-    ring: CoeffRing
-    twist: RingMap
-    images: tuple[tuple[str, CoeffElem], ...]
-    _matrix: RingMap | None = field(compare=False, repr=False, default=None)
+    __slots__ = ("ring", "twist", "images", "_matrix")
+    _fields = ("ring", "twist", "images")
+
+    def __init__(self, ring: CoeffRing, twist: RingMap, images: tuple, _matrix=None):
+        self._set(ring, twist, images, _matrix)
+
+    def __reduce__(self):
+        return (SigmaDerivation, (*self._values(), self._matrix))
 
     @classmethod
     def zero(cls, ring: CoeffRing, twist: RingMap | None = None) -> "SigmaDerivation":

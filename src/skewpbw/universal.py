@@ -20,7 +20,6 @@ right, and images equal to 1 are left out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 
 from .algebra import Poly, star
@@ -28,6 +27,7 @@ from .presentation import Presentation, decisive_coefficients
 from .rings import (
     CoeffElem,
     NotAUnitError,
+    Record,
     RingMap,
     RingMismatchError,
     _dependency,
@@ -40,15 +40,15 @@ class HomSpecError(ValueError):
     """Malformed homomorphism seed."""
 
 
-@dataclass
-class HomSpec:
+class HomSpec(Record):
     """Seed data: coefficient map phi (generator name -> constant Poly over
     the target) and the variable images y."""
 
-    source: Presentation
-    target: Presentation
-    phi: dict[str, Poly]
-    y: tuple[Poly, ...]
+    _fields = ("source", "target", "phi", "y")
+
+    def __init__(self, source: Presentation, target: Presentation, phi: dict, y: tuple):
+        self.source, self.target, self.phi, self.y = source, target, phi, y
+        self.__post_init__()  # the validation, a hook point of bench/tracer.py
 
     def __post_init__(self):
         self.y = tuple(self.y)
@@ -99,18 +99,19 @@ class HomSpec:
         return out
 
 
-@dataclass
-class HomConditionItem:
-    label: str
-    ok: bool
-    lhs: Poly
-    rhs: Poly
+class HomConditionItem(Record):
+    _fields = ("label", "ok", "lhs", "rhs")
+
+    def __init__(self, label: str, ok: bool, lhs: Poly, rhs: Poly):
+        self.label, self.ok, self.lhs, self.rhs = label, ok, lhs, rhs
 
 
-@dataclass
-class HomReport:
-    condition_i: list[HomConditionItem] = field(default_factory=list)
-    condition_ii: list[HomConditionItem] = field(default_factory=list)
+class HomReport(Record):
+    _fields = ("condition_i", "condition_ii")
+
+    def __init__(self, condition_i: list | None = None, condition_ii: list | None = None):
+        self.condition_i = [] if condition_i is None else condition_i
+        self.condition_ii = [] if condition_ii is None else condition_ii
 
     @property
     def ok(self) -> bool:

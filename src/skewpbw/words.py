@@ -20,20 +20,21 @@ moves strictly decrease works, and the pair count does.
 
 Words are dictionary keys in the straightening memo tables, and a tuple
 re-hashes every letter on each lookup, so each letter hashes once: a
-Scalar computes the hash of its coefficient when it is built, and there is
-one shared Var object per index, which hashes and compares by identity.
+Scalar computes the hash of its coefficient when it is built and keeps it
+in a slot, and there is one shared Var object per index, which hashes and
+compares by identity, in C.  Both are Values (rings.Value): immutable,
+printed by their fields, and copied through their constructors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .rings import QQ, CoeffElem, combine_terms
+from .rings import QQ, CoeffElem, Value, combine_terms
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class Var:
-    index: int
+class Var(Value):
+    __slots__ = _fields = ("index",)
+    # one shared instance per index: copies and unpickled letters are it
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __new__(cls, index: int):
         var = _VARS.get(index)
@@ -43,24 +44,25 @@ class Var:
             var = _VARS.setdefault(index, var)
         return var
 
-    def __reduce__(self):
-        # copies and unpickled letters are the shared instance
-        return (Var, (self.index,))
-
 
 _VARS: dict[int, Var] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class Scalar:
-    value: CoeffElem
-    _hash: int = field(init=False, repr=False, compare=False)
+class Scalar(Value):
+    __slots__ = ("value", "_hash")
+    _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.value))
+    def __init__(self, value: CoeffElem):
+        object.__setattr__(self, "value", value)  # not _set: straightening builds many
+        object.__setattr__(self, "_hash", hash(value))
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):  # every memo hit compares letters: no key call
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return (self.value,) == (other.value,)
 
 
 Word = tuple  # tuple[Var | Scalar, ...]

@@ -392,6 +392,50 @@ MUTANTS = [
         '        if False:',
         ["tests/test_cli.py"],
     ),
+    # -- plain value classes, and modules imported where they are used -----
+    (
+        "LaurentRing equality ignores var",
+        RINGS,
+        '    __slots__ = _fields = ("base", "var")',
+        '    __slots__ = ("base", "var")\n    _fields = ("base",)',
+        ["tests/test_values.py"],
+    ),
+    (
+        "the frozen guard is dropped",
+        RINGS,
+        '        raise AttributeError(f"cannot assign to or delete field {name!r}")',
+        "        object.__setattr__(self, name, value)",
+        ["tests/test_values.py"],
+    ),
+    (
+        "__reduce__ drops the last constructor argument",
+        RINGS,
+        "        return (type(self), self._values())",
+        "        return (type(self), self._values()[:-1])",
+        ["tests/test_values.py"],
+    ),
+    (
+        "cli imports universal at module top again",
+        "cli.py",
+        "from .rings import MAX_PRINT_DIGITS, NotAUnitError\n",
+        "from .rings import MAX_PRINT_DIGITS, NotAUnitError\n"
+        "from .universal import check_hom_conditions, extend_hom\n",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "_item_dict drops the last field",
+        PRESENTATION,
+        "    for f in it._fields:",
+        "    for f in it._fields[:-1]:",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "HomSpec.__init__ skips __post_init__",
+        UNIVERSAL,
+        "        self.__post_init__()",
+        "        pass",
+        ["tests/test_universal.py", "tests/test_values.py"],
+    ),
     # -- kept from the hand-made mutants of earlier changes ---------------
     (
         "star skips its final division",

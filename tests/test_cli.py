@@ -47,6 +47,49 @@ def run_fresh(*argv, timeout):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def loaded_after(code, *argv):
+    """The modules a fresh interpreter that imports this process's skewpbw
+    holds after it runs ``code`` with ``argv`` in sys.argv[1:]."""
+    env = dict(os.environ, PYTHONPATH=str(Path(skewpbw.__file__).parent.parent))
+    script = f"import sys\n{code}\nprint('\\n' + ' '.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+# modules that only checks, the oracle and hom run, and dataclasses with
+# what it imports
+_COMMAND_ONLY = {
+    "dataclasses", "inspect", "skewpbw.universal", "skewpbw.reduction", "skewpbw.words"
+}
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    """A cold start of nf, catalog show, or a command that ends in a usage
+    or parse error loads neither the word-level engine nor universal, and
+    nothing in skewpbw loads dataclasses (which imports inspect)."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"source": "catalog:u_heisenberg", "target": "catalog:weyl1", "y": ["x2", "x1", "1"]}
+    ))
+    bare = loaded_after("")
+    run_main = "from skewpbw.cli import main\nmain(sys.argv[1:])"
+    for argv in (
+        ("nf", "catalog:weyl1", "x1"),
+        ("catalog", "show", "weyl", "--params", "1"),
+        ("mul", "catalog:weyl1", "x1"),
+        ("nf", "catalog:weyl1", "x1 +"),
+    ):
+        assert loaded_after(run_main, *argv) & _COMMAND_ONLY <= bare, argv
+    assert loaded_after("import skewpbw") & _COMMAND_ONLY <= bare
+    verify = ("mul", "catalog:weyl1", "x2", "x1", "--verify")
+    assert "skewpbw.reduction" in loaded_after(run_main, *verify)
+    assert "skewpbw.universal" in loaded_after(run_main, "hom", str(spec), "x1")
+    for path in Path(skewpbw.__file__).parent.glob("*.py"):
+        assert "dataclass" not in path.read_text(encoding="utf-8"), path.name
+
+
 def broken_jacobi_json(tmp_path):
     sc = StructureConstants.build(
         QQ, 3, {(0, 1): [0, 0, -1], (0, 2): [-1, 0, 0], (1, 2): [0, -1, 0]}
@@ -92,7 +135,8 @@ def test_mul_verify(capsys):
 
 def test_mul_verify_mismatch_exits_3(capsys, monkeypatch):
     # the oracle normally agrees; force a disagreement to cover the contract
-    monkeypatch.setattr(cli, "star_oracle", lambda f, g: Poly.zero(f.pres))
+    # cmd_mul imports the oracle from its module when --verify asks for it
+    monkeypatch.setattr(reduction, "star_oracle", lambda f, g: Poly.zero(f.pres))
     code, out, err = run(capsys, "mul", "catalog:weyl1", "x2", "x1", "--verify")
     assert code == 3
     assert out == ""
@@ -878,6 +922,15 @@ _LONG_INDEX = (
             ("catalog", "show", "weyl", "--params", "-1"), None, "unknown catalog entry 'weyl-1'",
             id="params-negative",
         ),
+        # a weyl without its index names a spelling that takes one
+        pytest.param(
+            ("nf", "catalog:weyl", "x1"), None, "weyl needs an index parameter, e.g. weyl1",
+            id="weyl-token-without-index",
+        ),
+        pytest.param(
+            ("catalog", "show", "weyl"), None, "weyl needs an index parameter, e.g. weyl1",
+            id="weyl-show-without-index",
+        ),
     ],
 )
 def test_malformed_input_ends_in_one_line(capsys, tmp_path, argv, data, message):
@@ -888,6 +941,15 @@ def test_malformed_input_ends_in_one_line(capsys, tmp_path, argv, data, message)
         path.write_text(json.dumps(data))
         argv = (argv[0], str(path), *argv[1:])
     assert timed_run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_the_weyl_hint_names_a_spelling_every_route_accepts(capsys):
+    code, out, err = run(capsys, "catalog", "show", "weyl")
+    hint = err.rstrip("\n").rsplit("e.g. ", 1)[1]
+    assert code == 1 and get(hint) == get("weyl", 1)
+    assert run(capsys, "nf", f"catalog:{hint}", "x2*x1") == (0, "x1*x2 + 1\n", "")
+    code, out, err = run(capsys, "catalog", "show", hint)
+    assert code == 0 and json.loads(out)["vars"] == ["t1", "d1"]
 
 
 def test_dash_h_in_an_expression_slot_is_an_expression(capsys, tmp_path):

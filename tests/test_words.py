@@ -2,7 +2,6 @@
 
 import copy
 import pickle
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -119,7 +118,7 @@ def test_var_letters_are_shared_frozen_instances():
     assert Var(index=2) is Var(2)
     assert Var(0) is not Var(1) and Var(0) != Var(1)
     assert hash(Var(1)) == hash(Var(1))
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         Var(0).index = 1
     assert Var(0).index == 0
     assert repr(Var(3)) == "Var(index=3)"
@@ -130,7 +129,7 @@ def test_var_letters_are_shared_frozen_instances():
 
 def test_scalar_repr_and_frozen():
     assert repr(Scalar(R)) == "Scalar(value=<3 in Q>)"
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         Scalar(R).value = S
     assert pickle.loads(pickle.dumps(Scalar(R))) == Scalar(R)
 
