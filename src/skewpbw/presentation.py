@@ -110,6 +110,7 @@ class Presentation:
         "_reduce_cache",
         "_vtm_cache",
         "_h_cache",
+        "_rules",
     )
 
     def __init__(
@@ -179,6 +180,7 @@ class Presentation:
         self._reduce_cache = {}
         self._vtm_cache = {}
         self._h_cache = {}
+        self._rules = {}
 
     def _pair(self, key) -> tuple[int, int]:
         i, j = key

@@ -14,7 +14,9 @@ Every child word has strictly smaller complexity, so the recursion
 terminates; it is evaluated iteratively with an explicit stack and a
 per-presentation memo table, which keeps deep reductions cheap and immune to
 interpreter recursion limits.  The memo is observably pure: entries are
-fully-reduced values of the map, never partial state.
+fully-reduced values of the map, never partial state.  A move's children
+depend only on the out-of-order pair, so each move is a lookup in a second
+per-presentation table of rewrite rules, built on first use of the pair.
 
 A word's leading run of scalar letters is never rewritten, because every
 violation starts with a variable.  So straightening is a left-module map:
@@ -84,6 +86,14 @@ def _check_letters(w: Word, P) -> None:
 def rewrite_step(w: Word, P) -> list[Word] | None:
     """One straightening move at the rightmost violation; None if standard.
 
+    The move replaces the out-of-order pair w[s:s+2] by segments that
+    depend on the pair alone, so it is a lookup in the presentation's rule
+    table P._rules, keyed on the pair and filled on its first use by _rule;
+    the children are head + segment + tail, in the rule's order.  Letters
+    are shared (words.py), so the key hashes in C.  Like the memo tables
+    the rule table is observably pure; it holds at most n^2 entries plus n
+    per distinct scalar letter that the presentation has straightened.
+
     A child whose inserted coefficient letter is zero is dropped: every word
     containing a zero letter collapses to zero under the scalar-prefix map,
     so such children contribute nothing to any downstream normalization.
@@ -94,29 +104,42 @@ def rewrite_step(w: Word, P) -> list[Word] | None:
     s = rightmost_violation(w)
     if s is None:
         return None
+    rules = P._rules
+    key = w[s : s + 2]
+    segments = rules.get(key)
+    if segments is None:
+        segments = rules[key] = _rule(w[s], w[s + 1], P)
     head, tail = w[:s], w[s + 2 :]
+    return [head + seg + tail for seg in segments]
+
+
+def _rule(left, right, P) -> tuple[Word, ...]:
+    """The segments that replace the out-of-order pair (left, right):
+    (x_i, r) becomes sigma_i(r) x_i and delta_i(r); (x_j, x_i) with i < j
+    becomes c_ij x_i x_j, a_ijk x_k for each linear term, and d_ij; a
+    segment whose coefficient is zero is dropped."""
     out = []
-    if isinstance(w[s + 1], Scalar):
-        i = w[s].index
-        r = w[s + 1].value
+    if isinstance(right, Scalar):
+        i = left.index
+        r = right.value
         sr = P.sigma[i].apply(r)
         if sr:
-            out.append(head + (Scalar(sr), Var(i)) + tail)
+            out.append((Scalar(sr), Var(i)))
         dr = P.delta[i].apply(r)
         if dr:
-            out.append(head + (Scalar(dr),) + tail)
-        return out
-    j = w[s].index
-    i = w[s + 1].index
+            out.append((Scalar(dr),))
+        return tuple(out)
+    j = left.index
+    i = right.index
     cij = P.c_of(i, j)
     if cij:
-        out.append(head + (Scalar(cij), Var(i), Var(j)) + tail)
+        out.append((Scalar(cij), Var(i), Var(j)))
     for k, a in P.linear_terms(i, j):
-        out.append(head + (Scalar(a), Var(k)) + tail)
+        out.append((Scalar(a), Var(k)))
     dij = P.d_of(i, j)
     if dij:
-        out.append(head + (Scalar(dij),) + tail)
-    return out
+        out.append((Scalar(dij),))
+    return tuple(out)
 
 
 def _split(w: Word) -> tuple[Word, Word]:

@@ -19,14 +19,19 @@ counted over all position pairs, not only adjacent ones; any measure the
 moves strictly decrease works, and the pair count does.
 
 Words are dictionary keys in the straightening memo tables, and a tuple
-re-hashes every letter on each lookup, so each letter hashes once: a
-Scalar computes the hash of its coefficient when it is built and keeps it
-in a slot, and there is one shared Var object per index, which hashes and
-compares by identity, in C.  Both are Values (rings.Value): immutable,
-printed by their fields, and copied through their constructors.
+re-hashes every letter on each lookup, so letters are hash-consed: there is
+one shared Var object per index and one shared Scalar object per
+coefficient value, and both hash and compare by identity, in C.  The
+Scalar table is weak (weakref.WeakValueDictionary), so it holds no letter
+that no word holds; it is keyed on the CoeffElem, so equal raw values of
+different rings are different letters.  Both are Values (rings.Value):
+immutable, printed by their fields, and copied and unpickled through their
+constructors, which return the shared letter.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .rings import QQ, CoeffElem, Value, combine_terms
 
@@ -49,20 +54,22 @@ _VARS: dict[int, Var] = {}
 
 
 class Scalar(Value):
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value", "__weakref__")
     _fields = ("value",)
+    # one shared instance per coefficient value: copies and unpickled letters are it
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, value: CoeffElem):
-        object.__setattr__(self, "value", value)  # not _set: straightening builds many
-        object.__setattr__(self, "_hash", hash(value))
+    def __new__(cls, value: CoeffElem):
+        letter = _SCALARS.get(value)
+        if letter is None:
+            letter = object.__new__(cls)
+            object.__setattr__(letter, "value", value)
+            _SCALARS[value] = letter
+        return letter
 
-    def __hash__(self):
-        return self._hash
 
-    def __eq__(self, other):  # every memo hit compares letters: no key call
-        if other.__class__ is not Scalar:
-            return NotImplemented
-        return (self.value,) == (other.value,)
+# the live letter of each CoeffElem; an entry goes when no word holds its letter
+_SCALARS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 Word = tuple  # tuple[Var | Scalar, ...]
@@ -75,6 +82,8 @@ def word_str(w: Word) -> str:
     for letter in w:
         if isinstance(letter, Var):
             parts.append(f"x{letter.index + 1}")
+        elif letter.value.ring._term_count(letter.value.value) > 1:
+            parts.append(f"({letter.value})")
         else:
             parts.append(str(letter.value))
     return "·".join(parts)

@@ -294,8 +294,8 @@ MUTANTS = [
     (
         "rewrite_step takes a vars pair for a scalar move",
         REDUCTION,
-        "    if isinstance(w[s + 1], Scalar):",
-        "    if isinstance(w[s], Scalar):",
+        "    if isinstance(right, Scalar):",
+        "    if isinstance(left, Scalar):",
         ["tests/test_words.py", "tests/test_reduction.py"],
     ),
     (
@@ -492,6 +492,41 @@ MUTANTS = [
         "        dr = P.delta[i].apply(r)\n        if dr:",
         "        dr = P.delta[i].apply(r)\n        if True:",
         ["tests/test_words.py", "tests/test_reduction.py"],
+    ),
+    # -- shared letters and the rule table --------------------------------
+    (
+        "the scalar table ignores the ring",
+        "words.py",
+        "        letter = _SCALARS.get(value)\n        if letter is None:\n"
+        "            letter = object.__new__(cls)\n"
+        "            object.__setattr__(letter, \"value\", value)\n"
+        "            _SCALARS[value] = letter",
+        "        letter = _SCALARS.get(value.value)\n        if letter is None:\n"
+        "            letter = object.__new__(cls)\n"
+        "            object.__setattr__(letter, \"value\", value)\n"
+        "            _SCALARS[value.value] = letter",
+        ["tests/test_words.py"],
+    ),
+    (
+        "the rule table is keyed on the left letter",
+        REDUCTION,
+        "    key = w[s : s + 2]",
+        "    key = w[s]",
+        ["tests/test_reduction.py"],
+    ),
+    (
+        "one rule table for every presentation",
+        REDUCTION,
+        "    rules = P._rules",
+        "    rules = rewrite_step.__dict__.setdefault(\"rules\", {})",
+        ["tests/test_reduction.py"],
+    ),
+    (
+        "the scalar rule drops the derivation child",
+        REDUCTION,
+        "            out.append((Scalar(dr),))",
+        "            pass",
+        ["tests/test_reduction.py"],
     ),
 ]
 

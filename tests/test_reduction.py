@@ -20,9 +20,9 @@ from skewpbw.reduction import (
     section_t,
     star_oracle,
 )
-from skewpbw.rings import QQ, PolyRing, PrimeField, RingMap, SigmaDerivation
+from skewpbw.rings import QQ, LaurentRing, PolyRing, PrimeField, RingMap, SigmaDerivation
 from skewpbw.rng import Stream
-from skewpbw.words import FreeElem, Scalar, Var, is_standard
+from skewpbw.words import FreeElem, Scalar, Var, is_standard, rightmost_violation
 
 from .genutil import (
     dense_presentation,
@@ -429,6 +429,86 @@ def test_memo_is_observably_pure(weyl1):
     first = [reduce_p(w, weyl1) for w in words]
     second = [reduce_p(w, weyl1) for w in words]  # all memo hits
     assert first == second
+
+
+def _laurent_tower():
+    """Three variables over F_7[q^+-1][t]: the first and last pass
+    coefficients by q -> 2q, t -> q t, the first with the inner derivation
+    sigma - id, which differentiates q^-1 too; c, a and d nonzero on
+    several pairs.  Not required to be consistent."""
+    ring = PolyRing(LaurentRing(PrimeField(7), "q"), ("t",))
+    q, t = ring.generator("q"), ring.generator("t")
+    twist = RingMap.from_images(ring, {"q": 2 * q, "t": q * t})
+    inner = SigmaDerivation.from_images(ring, twist, {"q": q, "t": q * t - t})
+    return Presentation(
+        ring,
+        ("u", "v", "w"),
+        sigma=[twist, RingMap.identity(ring), twist],
+        delta=[inner, SigmaDerivation.zero(ring), SigmaDerivation.zero(ring, twist)],
+        c={(0, 1): q, (1, 2): ring.from_int(3)},
+        a={(0, 1, 2): t, (1, 2, 0): -q},
+        d={(0, 2): q**-1 + t},
+    )
+
+
+def _rederived_children(w, P):
+    """The children of one move, derived from the structure maps and the
+    relation parameters of P with no table: the rewrite step's contract."""
+    s = rightmost_violation(w)
+    if s is None:
+        return None
+    head, tail = w[:s], w[s + 2 :]
+    segments = []
+    if isinstance(w[s + 1], Scalar):
+        i, r = w[s].index, w[s + 1].value
+        segments.append((Scalar(P.sigma[i].apply(r)), Var(i)))
+        segments.append((Scalar(P.delta[i].apply(r)),))
+    else:
+        j, i = w[s].index, w[s + 1].index
+        segments.append((Scalar(P.c_of(i, j)), Var(i), Var(j)))
+        segments.extend((Scalar(a), Var(k)) for k, a in P.linear_terms(i, j))
+        segments.append((Scalar(P.d_of(i, j)),))
+    return [head + seg + tail for seg in segments if seg[0].value]
+
+
+def test_rule_table_gives_the_rederived_children():
+    """rewrite_step's children, in order, are those of the structure maps
+    and parameters, on a fresh table and again from the filled one; the
+    table starts empty and stays within n^2 + n * (scalar letters) entries."""
+    entries = catalog.all_presentations() + [
+        ("dense", dense_presentation()),
+        ("qdiff", qdiff_presentation()),
+        ("F_5[t]", _fp_presentation()),
+        ("F_7[q^+-1][t]", _laurent_tower()),
+    ]
+    for name, P in entries:
+        assert P._rules == {}, name
+        stream = Stream(467).split(name)
+        pool = scalar_pool(P, stream)
+        words = [(Var(stream.below(P.n)),) + random_word(P, stream, 7, pool) for _ in range(60)]
+        moves = 0
+        for w in words:
+            expected = _rederived_children(w, P)
+            assert rewrite_step(w, P) == expected, (name, w)
+            assert rewrite_step(w, P) == expected, (name, w)
+            moves += expected is not None
+        assert moves >= 30, name
+        letters = {letter for key in P._rules for letter in key if isinstance(letter, Scalar)}
+        assert 0 < len(P._rules) <= P.n**2 + P.n * len(letters), name
+
+
+def test_rule_tables_are_per_presentation():
+    """Two Lie algebras with the pair (x2, x1) but different brackets get
+    their own children, whichever is straightened first."""
+    one = lie_presentation(StructureConstants.build(QQ, 2, {(0, 1): [1, 0]}))
+    two = lie_presentation(StructureConstants.build(QQ, 2, {(0, 1): [0, 2]}))
+    w = (Var(1), Var(0))
+    unit = Scalar(QQ.one())
+    assert rewrite_step(w, one) == [(unit, Var(0), Var(1)), (unit, Var(0))]
+    assert rewrite_step(w, two) == [(unit, Var(0), Var(1)), (Scalar(QQ.from_int(2)), Var(1))]
+    assert rewrite_step(w, one) == _rederived_children(w, one)
+    assert one._rules.keys() == two._rules.keys() == {w}
+    assert one._rules[w] != two._rules[w]
 
 
 def _same_work_inputs(P):

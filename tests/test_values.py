@@ -51,7 +51,9 @@ _MAP += "target=PolyRing(base=Rationals(), vars=('t',)), _identity=False)"
 _QP = "Presentation(Q[q^+-1]; vars x1, x2; df0a9386c561)"
 
 # (make, compared fields, fields that take no part in equality, repr, probe):
-# make() builds a fresh instance; probe(x) is what a copy must give as well
+# make() builds a fresh instance, or returns the shared one for a class in
+# SHARED; probe(x) is what a copy must give as well
+SHARED = (Scalar,)
 VALUES = [
     (lambda: QQ.from_int(3), ("ring", "value"), (), "<3 in Q>", lambda e: (e * e, e + 1)),
     (Rationals, (), (), "Rationals()", lambda r: r.from_fraction(Fraction(4, 6)).value),
@@ -97,9 +99,7 @@ VALUES = [
         "images=(('t', <1 in Q[t]>),))",
         lambda d: (d.apply(QT.generator("t") ** 2), d.is_zero_map()),
     ),
-    (
-        lambda: Scalar(QQ.from_int(3)), ("value",), ("_hash",), "Scalar(value=<3 in Q>)", hash,
-    ),
+    (lambda: Scalar(QQ.from_int(3)), ("value",), (), "Scalar(value=<3 in Q>)", hash),
     (
         lambda: StructureConstants.build(QQ, 2, {(0, 1): [1, 0]}), ("ring", "n", "lower"), (),
         "StructureConstants(ring=Rationals(), n=2, lower=(((0, 1), (<1 in Q>, <0 in Q>)),))",
@@ -171,11 +171,17 @@ def test_value_and_record_classes_keep_their_behaviour(row):
     make, compared, ignored, text, probe = row
     frozen = row in VALUES
     a, b = make(), make()
+    shared = type(a) in SHARED
     assert repr(a) == text
-    assert a == b and not a != b and a is not b
+    assert a == b and not a != b and (a is b) is shared
     for name in compared + ignored:
-        # one field changed on a fresh instance, past any frozen guard
+        # one field changed on a fresh instance, past any frozen guard; a
+        # shared class gets one built outside its table, which stays intact
         other = make()
+        if shared:
+            other = object.__new__(type(a))
+            for field in compared + ignored:
+                object.__setattr__(other, field, getattr(a, field))
         object.__setattr__(other, name, _Other())
         assert (a == other) is (name in ignored) and (other == a) is (name in ignored), name
     assert a != _Other() and a != text
@@ -195,19 +201,36 @@ def test_value_and_record_classes_keep_their_behaviour(row):
         assert a != b
     for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(clone) is type(a) and clone == a and repr(clone) == text
+        assert (clone is a) is shared
         assert probe(clone) == probe(a)
         if frozen:
             assert hash(clone) == hash(a)
 
 
 def test_letters_and_derivations_keep_their_identity_rules():
-    """A Var is the shared instance of its index, equal to no other, and a
-    derivation built without its matrix map equals one built with it."""
+    """A Var is the shared instance of its index and a Scalar the shared
+    instance of its coefficient, each equal to no other, frozen, and hashed
+    alike by every copy; a derivation built without its matrix map equals
+    one built with it."""
     assert Var(3) is Var(3) and Var(3) != Var(4) and repr(Var(3)) == "Var(index=3)"
     for clone in (copy.copy(Var(3)), copy.deepcopy(Var(3)), pickle.loads(pickle.dumps(Var(3)))):
         assert clone is Var(3)
     with pytest.raises(AttributeError):
         Var(3).index = 4
+    text = "Scalar(value=<3 in Q>)"
+    a, b = Scalar(QQ.from_int(3)), Scalar(QQ.from_fraction(Fraction(6, 2)))
+    assert repr(a) == text and a is b and a == b and not a != b and hash(a) == hash(b)
+    for other in (Scalar(QQ.from_int(4)), Scalar(PrimeField(5).from_int(3)), _Other(), text):
+        assert a != other and other != a and not a == other
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(AttributeError):
+        a.value = QQ.from_int(3)
+    with pytest.raises(AttributeError):
+        del a.value
+    assert a.value == QQ.from_int(3)
+    for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert clone is a and repr(clone) == text and hash(clone) == hash(a)
     d = SigmaDerivation.from_images(QT, TWIST, {"t": QT.one()})
     bare = SigmaDerivation(d.ring, d.twist, d.images)
     assert bare == d and hash(bare) == hash(d) and bare.is_zero_map() and not d.is_zero_map()

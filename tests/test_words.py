@@ -1,11 +1,13 @@
 """Words, complexity, violations, and the free ring operations."""
 
 import copy
+import gc
 import pickle
 from fractions import Fraction
 
 import pytest
 
+from skewpbw import catalog, words
 from skewpbw.expr import coeff_from_str
 from skewpbw.rings import QQ, LaurentRing, PolyRing, PrimeField
 from skewpbw.rng import Stream
@@ -111,6 +113,17 @@ def test_free_elem_ops():
 
 def test_word_str():
     assert word_str((Scalar(R), Var(0), Var(1))) == "3·x1·x2"
+    # a letter of more than one term is parenthesized, as format_terms does
+    q = LaurentRing(QQ, "q").generator("q")
+    w = (Scalar(q + 1), Var(0), Scalar(q - 1))
+    assert word_str(w) == "(q + 1)·x1·(q - 1)"
+    assert str(FreeElem.from_word(w, 2)) == "2*((q + 1)·x1·(q - 1))"
+    assert word_str((Scalar(-q), Var(1), Scalar(2 * q**-1))) == "-q·x2·2*q^-1"
+    # a lone constant term counts the terms of its base value
+    bc = PolyRing(LaurentRing(QQ, "q"), ("b", "c"))
+    b, c, qq = bc.generator("b"), bc.generator("c"), bc.generator("q")
+    letters = (Scalar(qq + 1), Var(0), Scalar(2 * b), Scalar(b + c), Scalar(-qq))
+    assert word_str(letters) == "(q + 1)·x1·2*b·(b + c)·-q"
 
 
 def test_var_letters_are_shared_frozen_instances():
@@ -134,10 +147,10 @@ def test_scalar_repr_and_frozen():
     assert pickle.loads(pickle.dumps(Scalar(R))) == Scalar(R)
 
 
-def test_scalar_letters_hash_as_their_coefficient(catalog_entries):
+def test_equal_scalar_letters_are_one_object(catalog_entries):
     """Two Scalars built independently (by arithmetic and by parsing the
-    printed coefficient) are equal and hash alike, and a Scalar hashes as
-    its coefficient, over every catalog ring and the towers."""
+    printed coefficient) are one shared letter of the coefficient, which
+    every dict lookup finds, over every catalog ring and the towers."""
     f5 = PrimeField(5)
     rings = [P.ring for _, P in catalog_entries] + [
         f5,
@@ -155,8 +168,50 @@ def test_scalar_letters_hash_as_their_coefficient(catalog_entries):
             if k % 2:
                 r = r * third
             a, b = Scalar(r), Scalar(coeff_from_str(str(r), ring))
-            assert a == b and hash(a) == hash(b), (ring.describe(), r)
-            assert hash(a) == hash(r), (ring.describe(), r)
+            assert a is b and a == b and hash(a) == hash(b), (ring.describe(), r)
+            assert a.value == r and a.value.ring == ring, (ring.describe(), r)
             assert {a: 1}[b] == 1
             fractions += "/" in str(r)
     assert fractions >= 10
+
+
+def test_letters_of_fresh_presentations_are_shared():
+    """The same coefficient from two fresh presentations is one letter."""
+    P, Q = catalog.get("diffusion2"), catalog.get("diffusion2")
+    assert P is not Q and P.ring is not Q.ring
+    q, q2 = P.ring.generator("q"), Q.ring.generator("q")
+    assert q is not q2 and Scalar(q) is Scalar(q2)
+    assert Scalar(P.c_of(0, 1)) is Scalar(Q.c_of(0, 1)) is Scalar(q)
+    assert Scalar(-P.ring.one()) is Scalar(-Q.ring.one())
+
+
+def test_equal_raw_values_in_different_rings_are_different_letters():
+    f5 = PrimeField(5)
+    two, two5 = QQ.from_int(2), f5.from_int(2)
+    assert two.value == two5.value and hash(two.value) == hash(two5.value)
+    assert Scalar(two) is not Scalar(two5) and Scalar(two) != Scalar(two5)
+    assert Scalar(two).value.ring == QQ and Scalar(two5).value.ring == f5
+    q, t = LaurentRing(QQ, "q").generator("q"), LaurentRing(QQ, "t").generator("t")
+    assert q.value == t.value
+    assert Scalar(q) is not Scalar(t) and Scalar(q) != Scalar(t)
+    assert (str(Scalar(q).value), str(Scalar(t).value)) == ("q", "t")
+
+
+def test_copies_of_a_scalar_letter_are_the_shared_letter():
+    letter = Scalar(QQ.from_fraction(Fraction(-7, 3)))
+    word = (Var(1), letter, Var(0))
+    for clone in (copy.copy(letter), copy.deepcopy(letter), pickle.loads(pickle.dumps(letter))):
+        assert clone is letter
+    for clone in (copy.deepcopy(word), pickle.loads(pickle.dumps(word))):
+        assert clone == word and clone[1] is letter
+
+
+def test_the_scalar_table_holds_no_letter_that_no_word_holds():
+    gc.collect()
+    before = len(words._SCALARS)
+    letters = [Scalar(QQ.from_int(10**12 + k)) for k in range(10_000)]
+    assert len(words._SCALARS) == before + 10_000
+    assert Scalar(QQ.from_int(10**12 + 9_999)) is letters[-1]
+    del letters
+    gc.collect()
+    assert len(words._SCALARS) == before
