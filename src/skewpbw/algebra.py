@@ -7,26 +7,29 @@ noncommutative one induced by the presentation's commutation rules.  A Poly
 holds raw ring values (see rings.CoeffRing), as the engine, its memo tables
 and rings.combine_terms do; its ``terms`` property is the CoeffElem view.
 
-The fast product below rewrites exponent vectors directly: a variable is
-pushed into a sorted monomial by repeatedly applying the variable-variable
-relation to the leftmost out-of-order generator, and variables pass
-coefficients by the twist-and-derive rule.  Single steps are memoized per
-presentation.  The variable-push memo factors out the last variable's power:
-x^beta x_n^m is already standard, so x_i x^gamma is x_i pushed through the
-prefix of gamma (last slot 0) with every result shifted by gamma_n in the
-last slot, and each prefix is pushed once.  Rational scalars are central
-(every twist fixes and every derivation kills the prime field), so star
-clears denominators at its edges: it multiplies the integral multiples D*f
-and E*g and divides by D*E once, and over integral parameters the kernel
-never touches a Fraction (docs/exactness.md).  Correctness of this path is
-anchored by the word-level normalization oracle (see reduction.star_oracle),
-which the test suite and the multiply command's verify mode run against it.
+The fast product below rewrites exponent vectors directly: a variable x_i
+is pushed into a sorted monomial by one loop that lowers the leftmost
+generator below x_i down to a memoized step and one loop that climbs back
+by the variable-variable relation, with no recursion along the monomial;
+variables pass coefficients by the twist-and-derive rule.  Single steps are
+memoized per presentation.  The variable-push memo factors out the last
+variable's power: x^beta x_n^m is already standard, so x_i x^gamma is x_i
+pushed through the prefix of gamma (last slot 0) with every result shifted
+by gamma_n in the last slot, and each prefix is pushed once.  Rational
+scalars are central (every twist fixes and every derivation kills the prime
+field), so star clears denominators at its edges: it multiplies the
+integral multiples D*f and E*g and divides by D*E once, and over integral
+parameters the kernel never touches a Fraction (docs/exactness.md).
+Correctness of this path is anchored by the word-level normalization oracle
+(see reduction.star_oracle), which the test suite and the multiply
+command's verify mode run against it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Mapping
 
 from .rings import (
@@ -230,57 +233,52 @@ class Poly:
 # product engine
 
 
-def _bump(alpha: Monomial, i: int) -> Monomial:
-    if alpha[i] + 1 >= EXPONENT_CAP:
-        raise ExponentCapError(f"exponent cap {EXPONENT_CAP} exceeded at slot {i}")
-    return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+def _shift(alpha: Monomial, slot: int, by: int) -> Monomial:
+    """alpha with ``by`` added to one slot, below the exponent cap."""
+    e = alpha[slot] + by
+    if e >= EXPONENT_CAP:
+        raise ExponentCapError(f"exponent cap {EXPONENT_CAP} exceeded at slot {slot}")
+    return alpha[:slot] + (e,) + alpha[slot + 1 :]
 
 
 def _var_times_monomial(P, i: int, gamma: Monomial):
-    """x_i * x^gamma as a tuple of (monomial, raw coefficient), memoized."""
+    """x_i * x^gamma as a tuple of (monomial, raw coefficient), memoized:
+    one descent to a memoized or standard step, then one climb by the
+    relation of each lowered slot (docs/exactness.md, "The variable push")."""
     cache = P._vtm_cache
-    key = (i, gamma)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    ring = P.ring
-    j = next((k for k, e in enumerate(gamma) if e), None)
-    if j is None or j >= i:
-        out = ((_bump(gamma, i), ring._one()),)
-        cache[key] = out
+    out = cache.get((i, gamma))
+    if out is not None:
         return out
-    m = gamma[-1]
-    if m:
+    ring = P.ring
+    last = len(gamma) - 1
+    if gamma[last] and any(gamma[:i]):
         # x_i x^gamma = (x_i x^gamma') x_n^m with gamma'_n = 0, and
         # x^beta x_n^m = x^(beta + m e_n) is standard (docs/exactness.md)
-        last = len(gamma) - 1
-        out = []
-        for alpha, v in _var_times_monomial(P, i, gamma[:last] + (0,)):
-            if alpha[last] + m >= EXPONENT_CAP:
-                raise ExponentCapError(f"exponent cap {EXPONENT_CAP} exceeded at slot {last}")
-            out.append((alpha[:last] + (alpha[last] + m,), v))
-        out = tuple(out)
-        cache[key] = out
+        inner = _var_times_monomial(P, i, gamma[:last] + (0,))
+        out = tuple((_shift(alpha, last, gamma[last]), v) for alpha, v in inner)
+        cache[(i, gamma)] = out
         return out
-    # x_i x_j = c x_j x_i + sum_k a_k x_k + d  for the stored pair (j, i), so
-    # x_i x_j^e x^tail is built from x_i x_j^(e-1) x^tail.  Start from the
-    # highest lower power in the memo and climb to gamma_j: the recursion
-    # depth does not grow with gamma_j.
-    head, tail = gamma[:j], gamma[j + 1 :]
-    e = gamma[j] - 1
-    while e and (i, head + (e,) + tail) not in cache:
-        e -= 1
-    out = _var_times_monomial(P, i, head + (e,) + tail)
-    c = P.c_of(j, i).value
-    dji = P.d_of(j, i)
-    for e in range(e + 1, gamma[j] + 1):
-        gp = head + (e - 1,) + tail
-        parts = [(c, _var_times_terms(P, j, out))]
-        parts += [(a.value, _var_times_monomial(P, k, gp)) for k, a in P.linear_terms(j, i)]
-        if dji:
-            parts.append((dji.value, ((gp, ring._one()),)))
-        out = combine_terms(ring, parts)
-        cache[(i, head + (e,) + tail)] = out
+    cur, path, j = gamma, [], 0
+    while out is None:
+        while j < i and not cur[j]:  # the descent only lowers, so j only moves right
+            j += 1
+        if j == i:
+            out = ((_shift(cur, i, 1), ring._one()),)
+            cache[(i, cur)] = out
+        else:
+            path.append(j)
+            cur = _shift(cur, j, -1)
+            out = cache.get((i, cur))
+    for j, steps in groupby(reversed(path)):
+        c, lin, dji = P.c_of(j, i).value, P.linear_terms(j, i), P.d_of(j, i)
+        for _ in steps:
+            gp, cur = cur, _shift(cur, j, 1)
+            parts = [(c, _var_times_terms(P, j, out))]
+            parts += [(a.value, _var_times_monomial(P, k, gp)) for k, a in lin]
+            if dji:
+                parts.append((dji.value, ((gp, ring._one()),)))
+            out = combine_terms(ring, parts)
+            cache[(i, cur)] = out
     return out
 
 

@@ -454,8 +454,38 @@ MUTANTS = [
     (
         "the last-variable power shifts by m - 1",
         ALGEBRA,
-        "            out.append((alpha[:last] + (alpha[last] + m,), v))",
-        "            out.append((alpha[:last] + (alpha[last] + m - 1,), v))",
+        "(_shift(alpha, last, gamma[last]), v)",
+        "(_shift(alpha, last, gamma[last] - 1), v)",
+        ["tests/test_algebra.py"],
+    ),
+    # -- the variable push: descent and climb ------------------------------
+    (
+        "the climb reads c of the wrong orientation",
+        ALGEBRA,
+        "P.c_of(j, i).value",
+        "P.c_of(i, j).value",
+        ["tests/test_algebra.py"],
+    ),
+    (
+        "the descent lowers the last nonzero slot",
+        ALGEBRA,
+        "        while j < i and not cur[j]:  # the descent only lowers, so j only moves right\n"
+        "            j += 1",
+        "        j = max((k for k in range(i) if cur[k]), default=i)",
+        ["tests/test_algebra.py"],
+    ),
+    (
+        "the climb drops the d part",
+        ALGEBRA,
+        "                parts.append((dji.value, ((gp, ring._one()),)))",
+        "                pass",
+        ["tests/test_algebra.py"],
+    ),
+    (
+        "the climb drops the linear terms",
+        ALGEBRA,
+        "            parts += [(a.value, _var_times_monomial(P, k, gp)) for k, a in lin]",
+        "            parts += []",
         ["tests/test_algebra.py"],
     ),
     (

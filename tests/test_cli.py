@@ -658,6 +658,16 @@ def test_products_at_the_variable_cap_do_bounded_work(capsys, tmp_path):
     # n-slot a lists
     code, out, err = run_fresh("catalog", "show", "weyl", "--params", "500", timeout=60)
     assert (code, err, len(json.loads(out)["relations"])) == (0, "", 499500)
+    # d500 pushed across the 999 other variables, each at exponent 1: the
+    # push takes one step per nonzero slot, not one stack frame, and only
+    # d500 t500 = t500 d500 + 1 leaves a second term
+    W = get("weyl500")
+    ones = (1,) * 999 + (0,)
+    t0 = time.perf_counter()
+    prod = Poly.variable(W, 999) * Poly.monomial(W, ones)
+    assert time.perf_counter() - t0 < 10
+    rest = ones[:499] + (0,) + ones[500:]
+    assert prod == Poly.monomial(W, (1,) * 1000) + Poly.monomial(W, rest)
 
 
 @pytest.mark.parametrize(
